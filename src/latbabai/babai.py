@@ -1,66 +1,70 @@
 """Babai's nearest-plane approximation to the closest lattice point.
 
 For an upper triangular generator the algorithm is plain back-substitution
-with rounding; for a general basis it is successive projection onto nested
-subspaces. The preimage of each output is an axis-aligned box in the
+with rounding; a general basis is first brought to that form by a change of
+frame. The preimage of each output is an axis-aligned box in the
 orthogonalized frame, which is what makes the error geometry tractable.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .core import LatticePoint, as_basis, cvp_bruteforce, qr_upper, round_half_up
+from .core import LatticePoint, as_basis, cvp_bruteforce, round_half_up
+
+
+@lru_cache(maxsize=None)
+def _below_diagonal(n):
+    # cached: building the mask costs about as much as a whole n = 3 decode
+    mask = np.tri(n, n, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def _check_upper(R):
     R = np.asarray(R, dtype=float)
     n = R.shape[0]
-    if R.shape != (n, n) or np.any(np.abs(R[np.tril_indices(n, -1)]) > 1e-10 * max(1.0, np.abs(R).max())):
+    if R.shape != (n, n) or (np.abs(R[_below_diagonal(n)]) > 1e-10 * max(1.0, np.abs(R).max())).any():
         raise ValueError("expected an upper triangular generator matrix")
-    if np.any(np.diag(R) <= 0):
+    if (R.diagonal() <= 0).any():
         raise ValueError("upper triangular generator needs a positive diagonal")
     return R
 
 
-def nearest_plane(R, x):
+def _as_targets(X, n):
+    X = np.asarray(X, dtype=float)
+    if X.ndim not in (1, 2) or X.shape[-1] != n:
+        raise ValueError(f"expected a target of length {n} or an (m, {n}) stack, got shape {X.shape}")
+    return X
+
+
+def nearest_plane(R, X):
     """Babai coefficients for an upper triangular generator with positive diagonal.
 
     b_m = [(x_m - sum_{l>m} b_l r_ml) / r_mm] for m = n..1, with [.] rounding
-    halves up.
+    halves up. X is one target (n,) or a stack (m, n) decoded row by row;
+    the result has the same shape.
     """
     R = _check_upper(R)
-    x = np.asarray(x, dtype=float)
-    n = R.shape[0]
-    b = np.zeros(n)
-    for m in range(n - 1, -1, -1):
-        b[m] = round_half_up((x[m] - R[m, m + 1 :] @ b[m + 1 :]) / R[m, m])
-    return b.astype(int)
+    X = _as_targets(X, R.shape[0])
+    B = np.zeros(X.shape)
+    for m in range(R.shape[0] - 1, -1, -1):
+        B[..., m] = round_half_up((X[..., m] - B[..., m + 1 :] @ R[m, m + 1 :]) / R[m, m])
+    return B.astype(int)
 
 
-def nearest_plane_general(V, x):
-    """Babai coefficients for an arbitrary full-rank basis, by successive projection.
+def nearest_plane_general(V, X):
+    """Babai coefficients for an arbitrary full-rank basis (one target or a stack).
 
-    Walking i = n..1: round the coefficient of x's component along the part of
-    v_i orthogonal to span(v_1..v_{i-1}), subtract, continue. Agrees with
-    nearest_plane applied to the rotated upper triangular generator.
+    R = cholesky(V^T V)^T is the upper triangular generator of the rotated
+    lattice, V = Q R with Q orthogonal, so the target's coordinates in that
+    frame are Q^T x = R^-T V^T x and nearest_plane finishes the job.
     """
     V = as_basis(V)
-    x = np.asarray(x, dtype=float)
-    n = V.shape[0]
-    # Gram-Schmidt without normalization
-    B = np.zeros_like(V)
-    for i in range(n):
-        v = V[:, i].copy()
-        for j in range(i):
-            v -= (V[:, i] @ B[:, j]) / (B[:, j] @ B[:, j]) * B[:, j]
-        B[:, i] = v
-    b = np.zeros(n)
-    z = x.copy()
-    for i in range(n - 1, -1, -1):
-        b[i] = round_half_up((z @ B[:, i]) / (B[:, i] @ B[:, i]))
-        z -= b[i] * V[:, i]
-    return b.astype(int)
+    X = _as_targets(X, V.shape[0])
+    R = np.linalg.cholesky(V.T @ V).T
+    return nearest_plane(R, np.linalg.solve(R.T, (X @ V).T).T)
 
 
 @dataclass(frozen=True)
@@ -101,9 +105,8 @@ def is_babai_error(V, x, window=3):
 
 def babai_point(V, x):
     """Embedded nearest-plane output as a LatticePoint."""
-    V = as_basis(V)
     b = nearest_plane_general(V, x)
-    return LatticePoint(coeffs=b, point=V @ b)
+    return LatticePoint(coeffs=b, point=np.asarray(V, dtype=float) @ b)
 
 
 __all__ = [

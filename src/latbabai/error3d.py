@@ -9,8 +9,6 @@ the cell volume captured by the rectangular decoding cell, minimized over
 column orderings of the generator.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations
@@ -159,16 +157,6 @@ def _classify_by_counts(c):
     return _COUNT_SIGNATURE[key]
 
 
-def intersect_volume(A, B):
-    """Volume of the intersection of two convex polytopes given by their facets."""
-    if A.n_facets == 0 or B.n_facets == 0:
-        return 0.0
-    inter = intersect_polytopes(
-        (A.facet_normals, A.facet_offsets), (B.facet_normals, B.facet_offsets)
-    )
-    return inter.volume
-
-
 class Pe3DResult(NamedTuple):
     pe: float
     best_ordering: tuple
@@ -270,24 +258,17 @@ def _scan_one(trial_seed, density_floor):
     return record
 
 
-def scan_random(trials, density_floor=0.4, seed=None, workers=None):
+def scan_random(trials, density_floor=0.4, seed=None):
     """Random-lattice scan: sample reduced bases, filter by packing density,
     record Selling parameters, density, cell type and minimal P_e.
 
     Each trial gets its own seed split from the master seed, so any record can
-    be regenerated alone and output does not depend on the worker count
-    (workers defaults to the LATBABAI_THREADS environment variable, else 1).
+    be regenerated alone from its seed.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    if workers is None:
-        workers = int(os.environ.get("LATBABAI_THREADS", "1") or 1)
     trial_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(trials)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda s: _scan_one(s, density_floor), trial_seeds))
-    else:
-        results = [_scan_one(s, density_floor) for s in trial_seeds]
+    results = [_scan_one(s, density_floor) for s in trial_seeds]
     return [r for r in results if r is not None]
 
 
@@ -344,7 +325,6 @@ __all__ = [
     "Pe3DResult",
     "ScanRecord",
     "classify_cell",
-    "intersect_volume",
     "mc_pe_oracle",
     "pe_3d",
     "random_reduced_superbase",

@@ -95,13 +95,6 @@ def polygon_from_vertices(vertices):
     return Polygon2D(vertices=pts[np.argsort(ang)])
 
 
-def intersect_polygons(poly_a_halfplanes, poly_b_halfplanes, tol=GEOM_TOL):
-    """Intersection polygon of two halfplane systems given as (normals, offsets)."""
-    Na, ca = poly_a_halfplanes
-    Nb, cb = poly_b_halfplanes
-    return polygon_from_halfplanes(np.vstack([Na, Nb]), np.concatenate([ca, cb]), tol)
-
-
 @dataclass(frozen=True)
 class ConvexPolytope3D:
     """Bounded convex polytope: vertices plus facet cycles on its active planes.

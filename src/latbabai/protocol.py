@@ -101,18 +101,7 @@ class NodeMessage(NamedTuple):
     s: int
 
 
-def _s_by_loop(t: float, q: int) -> int:
-    """Exhaustive definition of the side information: the largest shift
-    s in [0, q) that rounding still absorbs. Reference oracle for tests."""
-    b = round_half_up(t)
-    best = 0
-    for s in range(q):
-        if round_half_up(t - s / q) == b:
-            best = s
-    return best
-
-
-def node_encode(m: int, x_m: float, upper, profile: RationalProfile) -> NodeMessage:
+def node_encode(m: int, x_m, upper, profile: RationalProfile) -> NodeMessage:
     """Message of node m: rounded coefficient plus side information.
 
     s is the largest integer in [0, q_m) with [t - s/q_m] = [t] where
@@ -120,17 +109,16 @@ def node_encode(m: int, x_m: float, upper, profile: RationalProfile) -> NodeMess
     t - s/q >= [t] - 1/2, i.e. s <= q*(frac + 1/2) with frac = t - [t],
     so s = floor(q*(frac + 1/2)); the boundary lands in the absorbed case
     because rounding is half-up. The last node always sends s = 0.
+    A scalar x_m gives int fields; an array of samples gives int64 arrays.
     """
     R = np.asarray(upper, dtype=float)
-    t = float(x_m) / R[m, m]
-    b_tilde = int(round_half_up(t))
+    t = np.asarray(x_m, dtype=float) / R[m, m]
+    b_tilde = round_half_up(t)
     qm = profile.q[m]
-    if qm == 1:
-        return NodeMessage(node=m, b_tilde=b_tilde, s=0)
-    frac = t - b_tilde
-    s = int(math.floor(qm * (frac + 0.5)))
-    s = min(max(s, 0), qm - 1)
-    return NodeMessage(node=m, b_tilde=b_tilde, s=s)
+    s = np.minimum(np.maximum(np.floor(qm * (t - b_tilde + 0.5)), 0), qm - 1)
+    if t.ndim == 0:
+        return NodeMessage(node=m, b_tilde=int(b_tilde), s=int(s))
+    return NodeMessage(node=m, b_tilde=b_tilde.astype(np.int64), s=s.astype(np.int64))
 
 
 def fusion_decode(
@@ -144,7 +132,10 @@ def fusion_decode(
         b_m = b_tilde_m - floor(N_m / q_m) - (1 if N_m mod q_m > s(m) else 0).
 
     The comparison against s(m) decides whether the fractional part of the
-    correction pushes x_m / r_mm across its rounding boundary.
+    correction pushes x_m / r_mm across its rounding boundary. Messages carry
+    one sample (int fields, result (n,)) or k samples (array fields, result
+    (k, n)); the sums run in Python integers, and a coefficient outside int64
+    raises OverflowError instead of wrapping.
     """
     n = profile.n
     by_node = {}
@@ -157,45 +148,23 @@ def fusion_decode(
         raise ValueError(f"missing message for node(s) {missing}")
 
     b = [0] * n
-    b[n - 1] = by_node[n - 1].b_tilde
+    b[n - 1] = _exact(by_node[n - 1].b_tilde)
     for m in range(n - 2, -1, -1):
         qm = profile.q[m]
         N = sum(b[l] * profile.p[(m, l)] * profile.q_hat[(m, l)] for l in range(m + 1, n))
         s = N % qm
-        b[m] = by_node[m].b_tilde - (N // qm) - (1 if s > by_node[m].s else 0)
-    return np.asarray(b, dtype=int)
+        b[m] = _exact(by_node[m].b_tilde) - (N // qm) - (s > _exact(by_node[m].s))
+    return np.asarray(b, dtype=np.int64).T
+
+
+def _exact(v):
+    """Python int, or an object array of Python ints, so integer sums cannot wrap."""
+    return int(v) if isinstance(v, (int, np.integer)) else np.asarray(v).astype(object)
 
 
 def centralized_rate_bound(profile: RationalProfile) -> float:
     """Side-information bits of the centralized protocol: sum of log2 q_m."""
     return profile.rate_bound_bits
-
-
-def modular_decode_check(upper, profile: RationalProfile, x) -> bool:
-    """Cross-check the interval form of the decode rule at one input.
-
-    Evaluates the two-case rule directly on fractional parts (decrement
-    exactly when frac < s/q - 1/2, strict at the boundary) and confirms it
-    matches both fusion_decode and a local nearest-plane run.
-    """
-    R = np.asarray(upper, dtype=float)
-    x = np.asarray(x, dtype=float)
-    n = profile.n
-    messages = [node_encode(m, x[m], R, profile) for m in range(n)]
-    decoded = fusion_decode(messages, R, profile)
-
-    b = [0] * n
-    b[n - 1] = messages[n - 1].b_tilde
-    for m in range(n - 2, -1, -1):
-        qm = profile.q[m]
-        N = sum(b[l] * profile.p[(m, l)] * profile.q_hat[(m, l)] for l in range(m + 1, n))
-        s = N % qm
-        t = x[m] / R[m, m]
-        frac = t - messages[m].b_tilde
-        b[m] = messages[m].b_tilde - (N // qm) - (1 if frac < s / qm - 0.5 else 0)
-
-    local = nearest_plane(R, x)
-    return bool(np.array_equal(decoded, local) and np.array_equal(np.asarray(b), local))
 
 
 # --- source models and rate accounting ---------------------------------------
@@ -335,10 +304,10 @@ def centralized_total_rate(
         rng = np.random.default_rng(seed)
         Rs = alpha * R
         X = np.column_stack([src.sample(rng, samples) for src in sources])
-        bits = 0.0
-        for m in range(n):
-            b_tilde = np.floor(X[:, m] / Rs[m, m] + 0.5).astype(np.int64)
-            bits += _plugin_entropy_bits(b_tilde[:, None])
+        bits = sum(
+            _plugin_entropy_bits(node_encode(m, X[:, m], Rs, profile).b_tilde[:, None])
+            for m in range(n)
+        )
         empirical = bits + side
     return TotalRateReport(bound_bits=float(bound), empirical_bits=empirical, side_info_bits=float(side))
 
@@ -380,7 +349,7 @@ def interactive_simulate(
     Nodes announce, in order i = n..1, the rounded coefficient of their
     residual; each broadcast reaches every node, so after round 1 all nodes
     hold the identical coefficient vector, which equals a local
-    nearest-plane run on the scaled generator (checked here exactly).
+    nearest-plane run on the scaled generator; that run is what is simulated.
     Rate = (n-1) * sum_i H(U_i | U_{i+1..n}) with plug-in conditional
     entropies; the conditionals telescope, so the sum is evaluated as
     differences of joint entropies of the trailing coefficient blocks.
@@ -398,17 +367,7 @@ def interactive_simulate(
 
     rng = np.random.default_rng(seed)
     X = np.column_stack([src.sample(rng, samples) for src in sources])
-    U = np.zeros((samples, n), dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        resid = X[:, i] - U[:, i + 1 :] @ Rs[i, i + 1 :]
-        U[:, i] = np.floor(resid / Rs[i, i] + 0.5).astype(np.int64)
-
-    # all nodes run the same deterministic recursion on the same broadcasts,
-    # so agreement across nodes reduces to agreement with a reference decode
-    check = min(samples, 512)
-    for k in range(check):
-        if not np.array_equal(U[k], nearest_plane(Rs, X[k])):
-            raise AssertionError("broadcast coefficients diverged from nearest-plane")
+    U = nearest_plane(Rs, X)
 
     # H(U_i | U_{i+1..n}) = H(U_i..U_n) - H(U_{i+1}..U_n), summed over i
     joint_bits = [_plugin_entropy_bits(U[:, i:]) for i in range(n)] + [0.0]
@@ -440,7 +399,6 @@ __all__ = [
     "gaussian_source",
     "interactive_rate_approximation",
     "interactive_simulate",
-    "modular_decode_check",
     "node_encode",
     "rationalize",
     "run_centralized",

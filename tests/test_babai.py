@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,11 @@ def test_nearest_plane_rounds_halves_up():
     R = np.eye(2)
     assert np.array_equal(nearest_plane(R, [0.5, -0.5]), [1, 0])
     assert np.array_equal(nearest_plane(R, [0.4999, -0.5001]), [0, -1])
+    X = np.array([[0.5, -0.5], [1.5, 0.5], [-0.5, 1.5], [-1.5, -1.5]])
+    assert nearest_plane(R, X).tolist() == [[1, 0], [2, 1], [0, 2], [-1, -1]]
+    # dyadic ratio: b_1 = [0.75 - 0.25 * b_2] lands exactly on 0.5 when b_2 = 1
+    R2 = np.array([[1.0, 0.25], [0.0, 2.0]])
+    assert nearest_plane(R2, np.array([[0.75, 2.0], [-0.25, -2.0]])).tolist() == [[1, 1], [0, -1]]
 
 
 def test_nearest_plane_backward_substitution_order():
@@ -31,6 +38,50 @@ def test_nearest_plane_rejects_bad_triangles():
         nearest_plane(np.array([[1.0, 0.0], [0.5, 1.0]]), [0.0, 0.0])
     with pytest.raises(ValueError):
         nearest_plane(np.array([[1.0, 0.0], [0.0, -1.0]]), [0.0, 0.0])
+
+
+def _reference_recursion(R, x):
+    """Textbook back-substitution on one target, one coefficient at a time."""
+    n = len(x)
+    b = [0] * n
+    for m in range(n - 1, -1, -1):
+        resid = x[m] - sum(R[m][l] * b[l] for l in range(m + 1, n))
+        b[m] = math.floor(resid / R[m][m] + 0.5)
+    return b
+
+
+def test_nearest_plane_stack_matches_reference_recursion():
+    rng = np.random.default_rng(37)
+    for V in (HEXAGONAL_2D, BCC_UNIT, np.array([[1.0, 0.25], [0.0, 2.0]])):
+        _, R = qr_upper(as_basis(V))
+        n = R.shape[0]
+        X = rng.uniform(-5.0, 5.0, size=(400, n))
+        B = nearest_plane(R, X)
+        assert B.shape == (400, n) and B.dtype == np.int64
+        assert B.tolist() == [_reference_recursion(R.tolist(), x.tolist()) for x in X]
+        assert all(np.array_equal(b, nearest_plane(R, x)) for b, x in zip(B, X))
+        assert nearest_plane(R, np.zeros((0, n))).shape == (0, n)
+
+
+def test_nearest_plane_general_stack_matches_per_row_calls():
+    rng = np.random.default_rng(41)
+    for V in (HEXAGONAL_2D, BCC_UNIT, rng.normal(size=(3, 3))):
+        V = as_basis(V)
+        X = rng.normal(scale=3.0, size=(200, V.shape[0]))
+        B = nearest_plane_general(V, X)
+        assert B.shape == X.shape
+        assert all(np.array_equal(b, nearest_plane_general(V, x)) for b, x in zip(B, X))
+        assert nearest_plane_general(V, np.zeros((0, V.shape[0]))).shape == (0, V.shape[0])
+
+
+def test_wrong_target_length_is_a_value_error():
+    R = np.array([[1.0, 0.5], [0.0, 1.0]])
+    V = as_basis(HEXAGONAL_2D)
+    for bad in ([0.2, 0.7, 99.0], [0.2], np.zeros((4, 3)), np.zeros((2, 2, 2)), 0.5):
+        with pytest.raises(ValueError, match="target"):
+            nearest_plane(R, bad)
+        with pytest.raises(ValueError, match="target"):
+            nearest_plane_general(V, bad)
 
 
 def test_general_matches_triangular_on_rotated_bases():

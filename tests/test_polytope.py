@@ -4,7 +4,6 @@ import pytest
 from latbabai.polytope import (
     Polygon2D,
     box_halfspaces,
-    intersect_polygons,
     intersect_polytopes,
     normalize_halfspaces,
     polygon_from_halfplanes,
@@ -46,14 +45,14 @@ def test_intersect_polygons_offset_squares():
     # second square shifted by (1, 1): |x-1| <= 1 etc.
     N = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     b = (N, np.array([2.0, 0.0, 2.0, 0.0]))
-    inter = intersect_polygons(a, b)
+    inter = polygon_from_halfplanes(np.vstack([a[0], b[0]]), np.concatenate([a[1], b[1]]))
     assert inter.area == pytest.approx(1.0, abs=1e-12)
 
 
 def test_intersect_polygon_with_itself_keeps_area():
     # duplicated constraints must not corrupt the vertex set
-    a = box_halfspaces([0.7, 0.3])
-    inter = intersect_polygons(a, a)
+    N, c = box_halfspaces([0.7, 0.3])
+    inter = polygon_from_halfplanes(np.vstack([N, N]), np.concatenate([c, c]))
     assert inter.area == pytest.approx(4 * 0.7 * 0.3, abs=1e-12)
 
 

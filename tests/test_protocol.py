@@ -5,21 +5,19 @@ import numpy as np
 import pytest
 
 from latbabai.babai import nearest_plane
-from latbabai.core import as_basis, qr_upper
+from latbabai.core import as_basis, qr_upper, round_half_up
 from latbabai.lattices import BCC_UNIT, HEXAGONAL_2D
 from latbabai.protocol import (
     IrrationalRatioError,
     NodeMessage,
     ProtocolModel,
     RationalProfile,
-    _s_by_loop,
     centralized_rate_bound,
     centralized_total_rate,
     fusion_decode,
     gaussian_source,
     interactive_rate_approximation,
     interactive_simulate,
-    modular_decode_check,
     node_encode,
     rationalize,
     run_centralized,
@@ -29,6 +27,47 @@ from latbabai.protocol import _varint_bits
 
 EXAMPLE_5 = np.array([[1.0, 0.4], [0.0, 2.0]])
 EXAMPLE_7 = np.array([[1.0, 0.311], [0.0, 1.01]])
+
+
+# --- reference oracles -------------------------------------------------------
+
+
+def _s_by_loop(t: float, q: int) -> int:
+    """Exhaustive definition of the side information: the largest shift
+    s in [0, q) that rounding still absorbs. Reference oracle for tests."""
+    b = round_half_up(t)
+    best = 0
+    for s in range(q):
+        if round_half_up(t - s / q) == b:
+            best = s
+    return best
+
+
+def modular_decode_check(upper, profile: RationalProfile, x) -> bool:
+    """Cross-check the interval form of the decode rule at one input.
+
+    Evaluates the two-case rule directly on fractional parts (decrement
+    exactly when frac < s/q - 1/2, strict at the boundary) and confirms it
+    matches both fusion_decode and a local nearest-plane run.
+    """
+    R = np.asarray(upper, dtype=float)
+    x = np.asarray(x, dtype=float)
+    n = profile.n
+    messages = [node_encode(m, x[m], R, profile) for m in range(n)]
+    decoded = fusion_decode(messages, R, profile)
+
+    b = [0] * n
+    b[n - 1] = messages[n - 1].b_tilde
+    for m in range(n - 2, -1, -1):
+        qm = profile.q[m]
+        N = sum(b[l] * profile.p[(m, l)] * profile.q_hat[(m, l)] for l in range(m + 1, n))
+        s = N % qm
+        t = x[m] / R[m, m]
+        frac = t - messages[m].b_tilde
+        b[m] = messages[m].b_tilde - (N // qm) - (1 if frac < s / qm - 0.5 else 0)
+
+    local = nearest_plane(R, x)
+    return bool(np.array_equal(decoded, local) and np.array_equal(np.asarray(b), local))
 
 
 def _hex_R():
@@ -161,6 +200,106 @@ def test_fusion_decode_dyadic_knife_edge_exact():
         b = fusion_decode(msgs, V, prof)
         assert np.array_equal(b, nearest_plane(V, x))
         assert b[1] == 3 and b[0] == expect_b1
+
+
+def _scalar_decode_rows(X, R, prof):
+    """Per-sample scalar messages and decode, stacked: the reference for arrays."""
+    rows = []
+    for x in X:
+        msgs = [node_encode(m, x[m], R, prof) for m in range(prof.n)]
+        rows.append(fusion_decode(msgs, R, prof))
+    return np.array(rows, dtype=np.int64).reshape(len(X), prof.n)
+
+
+def test_node_encode_array_matches_scalar():
+    rng = np.random.default_rng(73)
+    for V in (HEXAGONAL_2D, BCC_UNIT, EXAMPLE_7):
+        _, R = qr_upper(as_basis(V))
+        prof = rationalize(R)
+        X = rng.uniform(-6, 6, size=(300, R.shape[0]))
+        for m in range(prof.n):
+            batch = node_encode(m, X[:, m], R, prof)
+            assert batch.b_tilde.dtype == np.int64 and batch.s.dtype == np.int64
+            scalar = [node_encode(m, x, R, prof) for x in X[:, m]]
+            assert batch.b_tilde.tolist() == [msg.b_tilde for msg in scalar]
+            assert batch.s.tolist() == [msg.s for msg in scalar]
+
+
+def test_fusion_decode_array_messages_match_scalar_decode():
+    rng = np.random.default_rng(79)
+    for V in (HEXAGONAL_2D, BCC_UNIT, EXAMPLE_5, EXAMPLE_7):
+        _, R = qr_upper(as_basis(V))
+        prof = rationalize(R)
+        n = R.shape[0]
+        X = rng.uniform(-8, 8, size=(500, n))
+        msgs = [node_encode(m, X[:, m], R, prof) for m in range(n)]
+        decoded = fusion_decode(msgs, R, prof)
+        assert decoded.shape == (500, n) and decoded.dtype == np.int64
+        assert np.array_equal(decoded, _scalar_decode_rows(X, R, prof))
+        assert np.array_equal(decoded, nearest_plane(R, X))
+    # the knife-edge inputs of test_fusion_decode_knife_edge, as one batch
+    prof5 = rationalize(EXAMPLE_5)
+    X = np.array([[-0.3, 6.0], [-0.3 - 1e-7, 6.0]])
+    msgs = [node_encode(m, X[:, m], EXAMPLE_5, prof5) for m in range(2)]
+    decoded = fusion_decode(msgs, EXAMPLE_5, prof5)
+    assert np.array_equal(decoded, _scalar_decode_rows(X, EXAMPLE_5, prof5))
+    assert decoded.tolist() == [[-1, 3], [-2, 3]]
+    # an empty batch decodes to an empty (0, n) stack
+    empty = [node_encode(m, np.zeros(0), EXAMPLE_5, prof5) for m in range(2)]
+    assert fusion_decode(empty, EXAMPLE_5, prof5).shape == (0, 2)
+
+
+def test_fusion_decode_sum_beyond_int64_is_exact():
+    # q = 10^6 and b_1 ~ 10^13 push N = b_1 * p * q_hat past 2^63 while every
+    # coefficient still fits in int64; int64 arithmetic would wrap
+    ratio = 999_983 / 1_000_000
+    R = np.array([[1.0, ratio], [0.0, 1.0]])
+    prof = rationalize(R)
+    assert prof.q == (1_000_000, 1) and prof.p[(0, 1)] == 999_983
+    b1 = 10_000_000_000_007
+    N = b1 * prof.p[(0, 1)] * prof.q_hat[(0, 1)]
+    assert N > 2**63
+    for b_tilde0, s0 in ((0, 0), (5, 999_999), (-3, 17)):
+        msgs = [NodeMessage(0, b_tilde0, s0), NodeMessage(1, b1, 0)]
+        expect = b_tilde0 - N // 10**6 - (1 if N % 10**6 > s0 else 0)
+        assert fusion_decode(msgs, R, prof).tolist() == [expect, b1]
+        batch = [NodeMessage(0, np.array([b_tilde0] * 2), np.array([s0] * 2)),
+                 NodeMessage(1, np.array([b1, -b1]), np.array([0, 0]))]
+        expect_neg = b_tilde0 - (-N) // 10**6 - (1 if (-N) % 10**6 > s0 else 0)
+        assert fusion_decode(batch, R, prof).tolist() == [[expect, b1], [expect_neg, -b1]]
+
+
+def test_fusion_decode_out_of_range_coefficient_raises():
+    R = _hex_R()
+    prof = rationalize(R)
+    with pytest.raises(OverflowError):
+        fusion_decode([NodeMessage(0, 0, 0), NodeMessage(1, 2**64, 0)], R, prof)
+
+
+def _entropy_bits(rows):
+    _, counts = np.unique(rows, axis=0, return_counts=True)
+    freq = counts / counts.sum()
+    return float(-(freq * np.log2(freq)).sum())
+
+
+def test_simulated_rates_come_from_the_decoded_coefficients():
+    # both simulations redraw the same samples from their seed; the centralized
+    # rate counts each node's rounded coefficient, the interactive one the
+    # nearest-plane stack, where (n - 1) * [H(U_0 | U_1) + H(U_1)] = H(U) for n = 2
+    srcs = [uniform_source(0.0, 1.0)] * 2
+    alpha = 2**-4
+    Rs = alpha * _hex_R()
+    rep = centralized_total_rate(srcs, HEXAGONAL_2D, alpha, samples=3000, seed=83)
+    rng = np.random.default_rng(83)
+    X = np.column_stack([s.sample(rng, 3000) for s in srcs])
+    B = np.floor(X / np.diag(Rs) + 0.5).astype(np.int64)
+    per_node = _entropy_bits(B[:, [0]]) + _entropy_bits(B[:, [1]])
+    assert rep.empirical_bits == pytest.approx(per_node + 1.0, abs=1e-12)
+    trace, rate = interactive_simulate(srcs, HEXAGONAL_2D, alpha, samples=3000, seed=89)
+    rng = np.random.default_rng(89)
+    U = nearest_plane(Rs, np.column_stack([s.sample(rng, 3000) for s in srcs]))
+    assert np.array_equal(trace.decoded, U[-1])
+    assert rate == pytest.approx(_entropy_bits(U), abs=1e-9)
 
 
 def test_modular_decode_check_agrees():
