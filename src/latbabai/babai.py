@@ -14,6 +14,9 @@ import numpy as np
 from .core import LatticePoint, as_basis, cvp_bruteforce, round_half_up
 
 
+_INT64_EDGE = 2.0**63
+
+
 @lru_cache(maxsize=None)
 def _below_diagonal(n):
     # cached: building the mask costs about as much as a whole n = 3 decode
@@ -44,14 +47,20 @@ def nearest_plane(R, X):
 
     b_m = [(x_m - sum_{l>m} b_l r_ml) / r_mm] for m = n..1, with [.] rounding
     halves up. X is one target (n,) or a stack (m, n) decoded row by row;
-    the result has the same shape.
+    the result has the same shape and dtype int64. A non-finite target raises
+    ValueError, a coefficient outside int64 raises OverflowError.
     """
     R = _check_upper(R)
     X = _as_targets(X, R.shape[0])
     B = np.zeros(X.shape)
     for m in range(R.shape[0] - 1, -1, -1):
         B[..., m] = round_half_up((X[..., m] - B[..., m + 1 :] @ R[m, m + 1 :]) / R[m, m])
-    return B.astype(int)
+    # one check on the hot path; NaN fails it too and is told apart only then
+    if not ((B >= -_INT64_EDGE) & (B < _INT64_EDGE)).all():
+        if not np.isfinite(X).all():
+            raise ValueError("nearest_plane targets must be finite")
+        raise OverflowError("nearest_plane coefficient outside the int64 range")
+    return B.astype(np.int64)
 
 
 def nearest_plane_general(V, X):

@@ -44,7 +44,8 @@ def as_basis(V):
     if not np.all(np.isfinite(V)):
         raise ValueError("generator matrix entries must be finite")
     n = V.shape[0]
-    scale = max(1.0, float(np.abs(V).max()))
+    # relative to the largest entry, so the verdict does not depend on units
+    scale = float(np.abs(V).max())
     if abs(np.linalg.det(V)) <= 1e-12 * scale**n:
         raise RankDeficiencyError("generator matrix is rank deficient")
     return V

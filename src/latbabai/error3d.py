@@ -11,13 +11,14 @@ column orderings of the generator.
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
+from functools import cache
+from itertools import combinations, permutations
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import UnsupportedDimensionError, _integer_box, as_basis, packing_density, qr_upper
-from .polytope import box_halfspaces, intersect_polytopes, polytope_from_halfspaces
+from .polytope import GEOM_TOL, normalize_halfspaces, polytope_from_halfspaces
 from .reduction import (
     OBTUSE_TOL,
     ConormSet,
@@ -163,28 +164,175 @@ class Pe3DResult(NamedTuple):
     per_ordering: dict
 
 
+# orderings whose P_e lies within this of the minimum count as tied
+ORDERING_TIE_TOL = 1e-14
+# a vertex satisfies a unit plane, or lies on it, within this slack. Refined
+# vertices are good to about 1e-16, and a tolerance near GEOM_TOL would put
+# a vertex on both of two planes that differ by about as much (a box plane
+# next to a cell plane at a near-zero conorm) and count the facet twice
+_VERTEX_TOL = 1e-12
+# feasible vertices closer than this (coefficient frame) are one vertex
+_MERGE_TOL = 1e-14
+_SUM_COEFFS = np.array(
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1]], dtype=float
+)
+
+
+@cache
+def _triple_tables():
+    """Plane index triples of the 14 cell planes and the 6 box planes (14..19).
+
+    Box plane 14 + m bounds +(M P^T u)_m and 17 + m bounds -(M P^T u)_m, so
+    two box planes are parallel exactly when their indices agree mod 3.
+    Returns the cell triples, the box edges (non-parallel box pairs) and the
+    box corners.
+    """
+    cell = np.array(list(combinations(range(14), 3)))
+    edges = np.array([(14 + a, 14 + b) for a, b in combinations(range(6), 2) if a % 3 != b % 3])
+    corners = np.array([(14 + a, 15 + b, 16 + c) for a in (0, 3) for b in (0, 3) for c in (0, 3)])
+    for table in (cell, edges, corners):
+        table.flags.writeable = False  # shared by every call through the cache
+    return cell, edges, corners
+
+
+def _solve_triples(N, c):
+    """Vertices of plane triples n_i.x = c_i (rows of N[..., i, :]) and a solvable mask.
+
+    Cramer's rule on the cofactors n_1 x n_2 etc., then one refinement step on
+    the residual with the same cofactors. Near-singular triples are masked.
+    """
+    n0, n1, n2 = N[..., 0, :], N[..., 1, :], N[..., 2, :]
+    C = np.stack([np.cross(n1, n2), np.cross(n2, n0), np.cross(n0, n1)], axis=-2)
+    det = np.einsum("...d,...d->...", n0, C[..., 0, :])
+    ok = np.abs(det) > 1e-10
+    det = np.where(ok, det, 1.0)[..., None]
+    x = np.einsum("...i,...id->...d", c, C) / det
+    r = c - np.einsum("...id,...d->...i", N, x)
+    x += np.einsum("...i,...id->...d", r, C) / det
+    return x, ok
+
+
+def _first_copies(X):
+    """Mask of the points X[..., i, :] with no earlier point within _MERGE_TOL."""
+    close = np.ones(X.shape[:-1] + X.shape[-2:-1], dtype=bool)
+    for d in range(3):
+        close &= np.abs(X[..., :, None, d] - X[..., None, :, d]) <= _MERGE_TOL
+    return ~np.tril(close, -1).any(axis=-1)
+
+
+def _polytope_volumes(N, c, keep, X, ok):
+    """Volumes of the polytopes {u : N[o] u <= c[o]} from candidate vertices X[o].
+
+    N, c hold unit planes (k, p, 3) and (k, p) with the origin inside; keep
+    masks the planes that count (a duplicate of an earlier plane neither
+    bounds nor carries a facet; its twin does). Candidates that solve a
+    triple (ok) and satisfy every kept plane are merged within _MERGE_TOL;
+    each facet's vertices are sorted by angle about their centroid, and the
+    volume is sum_f c_f area_f / 3.
+    """
+    slack = X @ N.transpose(0, 2, 1)
+    np.subtract(c[:, None, :], slack, out=slack)
+    feas = ok & ((slack >= -_VERTEX_TOL) | ~keep[:, None, :]).all(axis=-1)
+    # compact the feasible candidates to the front, padded to the longest list
+    idx = np.argsort(~feas, axis=1, kind="stable")[:, : int(feas.sum(axis=1).max())]
+    X = np.take_along_axis(X, idx[..., None], axis=1)
+    slack = np.take_along_axis(slack, idx[..., None], axis=1)
+    feas = np.take_along_axis(feas, idx, axis=1) & _first_copies(X)
+    on = (feas[:, :, None] & (np.abs(slack) <= _VERTEX_TOL) & keep[:, None, :]).transpose(0, 2, 1)
+    # in-plane coordinates (t1, t2) with t1 x t2 = n, so counterclockwise is positive
+    t1 = np.cross(N, np.eye(3)[np.argmin(np.abs(N), axis=-1)])
+    t1 /= np.linalg.norm(t1, axis=-1)[..., None]
+    t2 = np.cross(N, t1)
+    a = t1 @ X.transpose(0, 2, 1)
+    b = t2 @ X.transpose(0, 2, 1)
+    count = np.maximum(on.sum(axis=-1), 1)[..., None]
+    a -= (a * on).sum(axis=-1)[..., None] / count
+    b -= (b * on).sum(axis=-1)[..., None] / count
+    order = np.argsort(np.where(on, np.arctan2(b, a), 4.0), axis=-1)
+    on = np.take_along_axis(on, order, axis=-1)
+    a = np.take_along_axis(a, order, axis=-1)
+    b = np.take_along_axis(b, order, axis=-1)
+    # padding repeats the first vertex, which closes the cycle at zero area
+    a = np.where(on, a, a[..., :1])
+    b = np.where(on, b, b[..., :1])
+    area = 0.5 * (a * np.roll(b, -1, axis=-1) - np.roll(a, -1, axis=-1) * b).sum(axis=-1)
+    return (c * area / 3.0).sum(axis=-1)
+
+
+def _pe_orderings(A, signs, orders):
+    """P_e of each column ordering from the Gram matrix A, in coefficients u (x = V u).
+
+    The 14 cell planes (A k).u <= k^T A k / 2 run over the superbase sums k
+    with the obtuse signs; ordering p adds the box |(M P^T u)_m| <= 1/2 with
+    M = L^T / diag(L), L = cholesky(A[p][:, p]). Cell and box both have
+    volume 1 in u, so P_e = 1 - vol_u(cell & box).
+    """
+    cell_triples, box_edges, box_corners = _triple_tables()
+    K = np.vstack([_SUM_COEFFS, -_SUM_COEFFS]) * signs
+    AK = K @ A
+    Nc, cc = normalize_halfspaces(AK, 0.5 * np.einsum("ij,ij->i", AK, K))
+    # cell vertices are shared by all orderings. A vertex on two cell planes
+    # and one box plane lies on a cell edge or is a cell vertex, so only pairs
+    # of cell planes through a common cell vertex need solving with box planes
+    Xc, ok = _solve_triples(Nc[cell_triples], cc[cell_triples])
+    slack = cc - Xc @ Nc.T
+    ok &= (slack >= -_VERTEX_TOL).all(axis=1)
+    Xc, slack = Xc[ok], slack[ok]
+    first = _first_copies(Xc)
+    Xc, slack = Xc[first], slack[first]
+    touch = (np.abs(slack) <= _VERTEX_TOL).astype(float)
+    pairs = np.argwhere(np.triu(touch.T @ touch, 1) > 0)
+
+    P = np.array(orders)
+    k = len(P)
+    L = np.linalg.cholesky(A[P[:, :, None], P[:, None, :]])
+    M = L.transpose(0, 2, 1) / np.diagonal(L, axis1=1, axis2=2)[..., None]
+    Nb = np.zeros((k, 3, 3))
+    np.put_along_axis(Nb, np.broadcast_to(P[:, None, :], (k, 3, 3)), M, axis=2)
+    Nb, cb = normalize_halfspaces(np.concatenate([Nb, -Nb], axis=1), np.full((k, 6), 0.5))
+    # a box plane within GEOM_TOL of a cell plane is that plane: exactly for
+    # the first box row, and at a conorm below GEOM_TOL, where dropping it
+    # moves P_e by about the conorm
+    dup = np.abs(Nb[:, :, None, :] - Nc).max(axis=-1) <= GEOM_TOL
+    dup &= np.abs(cb[:, :, None] - cc) <= GEOM_TOL
+    keep = np.hstack([np.ones((k, 14), dtype=bool), ~dup.any(axis=-1)])
+    N = np.concatenate([np.broadcast_to(Nc, (k, 14, 3)), Nb], axis=1)
+    c = np.hstack([np.broadcast_to(cc, (k, 14)), cb])
+    triples = np.vstack([
+        np.column_stack([np.repeat(pairs, 6, axis=0), np.tile(np.arange(14, 20), len(pairs))]),
+        np.column_stack([np.repeat(np.arange(14), len(box_edges)), np.tile(box_edges, (14, 1))]),
+        box_corners,
+    ])
+    Xm, okm = _solve_triples(N[:, triples], c[:, triples])
+    okm &= keep[:, triples].all(axis=-1)
+    X = np.concatenate([np.broadcast_to(Xc, (k,) + Xc.shape), Xm], axis=1)
+    ok = np.hstack([np.ones((k, len(Xc)), dtype=bool), okm])
+    vol = _polytope_volumes(N, c, keep, X, ok)
+    return np.clip(1.0 - vol, 0.0, 1.0)
+
+
 def pe_3d(basis, search_orderings=True):
     """Nearest-plane error probability of a 3D generator, per column ordering.
 
-    For each ordering: canonical QR, rescale so the leading diagonal entry is
-    1, intersect the Voronoi cell with the rectangular decoding cell spanned
-    by the diagonal, and read off P_e = 1 - vol(intersection) / covolume.
-    Returns the minimum, the ordering achieving it (ties to the
-    lexicographically first), and the full per-ordering table.
+    Works in the coefficient frame x = V u, where only A = V^T V matters and
+    every ordering shares one Voronoi cell: the obtuse superbase is found
+    once (on V scaled so its first column has norm 1), and each ordering adds
+    its Babai box. P_e = 1 - vol_u(cell & box), computed for all orderings in
+    one vectorized pass. Returns the minimum, the ordering achieving it (the
+    lexicographically first of those within ORDERING_TIE_TOL of the minimum),
+    and the full per-ordering table.
     """
     V = as_basis(basis)
     if V.shape[0] != 3:
         raise UnsupportedDimensionError("pe_3d needs a 3x3 generator")
+    V = V / np.linalg.norm(V[:, 0])
+    sb = to_obtuse_superbase(V)
+    signs = np.where(np.einsum("ij,ji->i", sb.vectors[1:], V) < 0.0, -1.0, 1.0)
+    A = V.T @ V
     orders = tuple(permutations(range(3))) if search_orderings else ((0, 1, 2),)
-    per = {}
-    for perm in orders:
-        _, R = qr_upper(V[:, list(perm)])
-        R = R / R[0, 0]
-        sb = to_obtuse_superbase(R)
-        inter = intersect_polytopes(voronoi_halfspaces(sb), box_halfspaces(0.5 * np.diag(R)))
-        covol = abs(float(np.linalg.det(R)))
-        per[perm] = float(min(max(1.0 - inter.volume / covol, 0.0), 1.0))
-    best = min(per, key=lambda k: (per[k], k))
+    pes = _pe_orderings(0.5 * (A + A.T), signs, orders)
+    per = {perm: float(pe) for perm, pe in zip(orders, pes)}
+    best = orders[int(np.argmax(pes <= pes.min() + ORDERING_TIE_TOL))]
     return Pe3DResult(per[best], best, per)
 
 
@@ -192,9 +340,11 @@ def random_reduced_superbase(rng_seed=None, rng_range=(-4.0, 4.0), max_attempts=
     """Rejection-sample a generator {(1,0,0), (a,b,0), (c,d,e)} whose basis is
     Minkowski-reduced and whose superbase completion is obtuse as given.
 
-    Entries are uniform over rng_range. Returns (basis, attempts); raises
-    RuntimeError if no sample passes within max_attempts draws. Fixed seeds
-    reproduce the same basis independent of batch size.
+    Entries are uniform over rng_range, drawn in batches of 8,192 candidates.
+    Returns (basis, attempts); raises RuntimeError if no sample passes within
+    max_attempts draws. A fixed seed reproduces the same basis; the batch
+    size is part of that contract, since another batch size hands different
+    draws to each entry and so changes every basis.
     """
     rng = np.random.default_rng(rng_seed)
     lo, hi = rng_range

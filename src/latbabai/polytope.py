@@ -15,13 +15,13 @@ GEOM_TOL = 1e-9
 
 
 def normalize_halfspaces(normals, offsets):
-    """Scale each constraint n.x <= c so that ||n|| = 1."""
+    """Scale each constraint n.x <= c so that ||n|| = 1 (normals on the last axis)."""
     N = np.asarray(normals, dtype=float)
     c = np.asarray(offsets, dtype=float)
-    lens = np.linalg.norm(N, axis=1)
+    lens = np.linalg.norm(N, axis=-1)
     if np.any(lens < GEOM_TOL):
         raise ValueError("zero normal in halfspace list")
-    return N / lens[:, None], c / lens
+    return N / lens[..., None], c / lens
 
 
 def _dedup(points, tol):

@@ -40,6 +40,24 @@ def test_nearest_plane_rejects_bad_triangles():
         nearest_plane(np.array([[1.0, 0.0], [0.0, -1.0]]), [0.0, 0.0])
 
 
+def test_nearest_plane_raises_outside_int64():
+    with pytest.raises(OverflowError):
+        nearest_plane(np.eye(2), [1e19, 0.2])
+    with pytest.raises(OverflowError):
+        nearest_plane(np.eye(2), np.array([[0.2, 0.3], [0.1, -1e19]]))
+    # the edges of the range still decode exactly
+    b = nearest_plane(np.eye(2), np.array([[-(2.0**63), 0.0], [2.0**63 - 1024.0, 0.0]]))
+    assert b.dtype == np.int64 and b[:, 0].tolist() == [-(2**63), 2**63 - 1024]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_nearest_plane_rejects_non_finite_targets():
+    with pytest.raises(ValueError):
+        nearest_plane(np.eye(2), [np.nan, 0.0])
+    with pytest.raises(ValueError):
+        nearest_plane(np.eye(2), np.array([[0.0, 0.0], [0.0, np.inf]]))
+
+
 def _reference_recursion(R, x):
     """Textbook back-substitution on one target, one coefficient at a time."""
     n = len(x)

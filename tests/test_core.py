@@ -120,3 +120,12 @@ def test_cvp_bruteforce_window_warning_on_skewed_basis():
     V = np.array([[1.0, 100.0], [0.0, 1.0]])
     with pytest.warns(EnumerationWindowWarning):
         cvp_bruteforce(V, np.array([0.5, 0.49]), window=3)
+
+
+def test_as_basis_rank_test_is_scale_free():
+    for scale in (1e-4, 1e-8, 1e4):
+        assert np.array_equal(as_basis(scale * FCC), scale * FCC)
+        with pytest.raises(RankDeficiencyError):
+            as_basis(scale * np.array([[1.0, 2.0], [2.0, 4.0]]))
+    with pytest.raises(RankDeficiencyError):
+        as_basis(np.zeros((3, 3)))

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latbabai.core import UnsupportedDimensionError, as_basis, packing_density, volume
 from latbabai.error3d import (
+    ORDERING_TIE_TOL,
     CellType,
     FACET_COUNTS,
     classify_cell,
@@ -16,9 +19,16 @@ from latbabai.error3d import (
     voronoi_vertices_conorm_formula,
 )
 from latbabai.error3d import _scan_one
-from latbabai.lattices import BCC_UNIT, CUBIC_3D, FCC, HEXA_RHOMBIC, HEXAGONAL_PRISM
+from latbabai.lattices import BCC, BCC_UNIT, CUBIC_3D, FCC, HEXA_RHOMBIC, HEXAGONAL_PRISM
 from latbabai.polytope import intersect_polytopes
-from latbabai.reduction import ConormSet, Superbase, conorms, is_minkowski_reduced, to_obtuse_superbase
+from latbabai.reduction import (
+    ConormSet,
+    ObtuseSuperbaseNotFound,
+    Superbase,
+    conorms,
+    is_minkowski_reduced,
+    to_obtuse_superbase,
+)
 
 EXEMPLARS = {
     CellType.Cuboid: (CUBIC_3D, 6, 8),
@@ -106,6 +116,8 @@ def test_pe_scale_invariance_and_bounds():
     r = pe_3d(V)
     assert 0.0 <= r.pe <= 1.0
     assert pe_3d(3.7 * V).pe == pytest.approx(r.pe, abs=1e-9)
+    # entries far below 1 are no reason to call the basis rank deficient
+    assert pe_3d(1e-4 * np.asarray(FCC)).pe == pytest.approx(pe_3d(FCC).pe, abs=1e-15)
 
 
 def test_pe_rejects_wrong_dimension():
@@ -267,3 +279,61 @@ def test_random_cells_tile_space():
         assert cell.volume == pytest.approx(volume(V), abs=1e-9)
         assert cell.is_centrally_symmetric()
         assert cell.euler_characteristic == 2
+
+
+def test_pe_ties_go_to_the_lexicographically_first_ordering():
+    # FCC: four orderings share 65/432 up to float noise; BCC: all six tie
+    assert pe_3d(FCC).best_ordering == (0, 2, 1)
+    assert pe_3d(BCC).best_ordering == (0, 1, 2)
+    assert pe_3d(BCC_UNIT).best_ordering == (0, 1, 2)
+    for V in (FCC, BCC, HEXA_RHOMBIC):
+        r = pe_3d(V)
+        assert r.pe == r.per_ordering[r.best_ordering]
+        assert r.pe <= min(r.per_ordering.values()) + ORDERING_TIE_TOL
+
+
+def test_pe_rejects_a_basis_without_obtuse_superbase():
+    with pytest.raises(ObtuseSuperbaseNotFound):
+        pe_3d(np.asarray(FCC) @ np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+
+
+_INVARIANCE = settings(max_examples=25, derandomize=True, deadline=None)
+_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _assert_same_table(got, expected):
+    assert set(got) == set(expected)
+    for perm, pe in expected.items():
+        assert got[perm] == pytest.approx(pe, abs=1e-14)
+
+
+@_INVARIANCE
+@given(seed=_SEEDS, signs=st.tuples(*[st.sampled_from((1.0, -1.0))] * 3))
+def test_pe_table_invariant_under_column_sign_flips(seed, signs):
+    V, _ = random_reduced_superbase(rng_seed=seed)
+    _assert_same_table(pe_3d(V * np.array(signs)).per_ordering, pe_3d(V).per_ordering)
+
+
+@_INVARIANCE
+@given(seed=_SEEDS, rotation_seed=_SEEDS)
+def test_pe_table_invariant_under_rotation(seed, rotation_seed):
+    V, _ = random_reduced_superbase(rng_seed=seed)
+    Q, _ = np.linalg.qr(np.random.default_rng(rotation_seed).normal(size=(3, 3)))
+    _assert_same_table(pe_3d(Q @ V).per_ordering, pe_3d(V).per_ordering)
+
+
+@_INVARIANCE
+@given(seed=_SEEDS, scale=st.sampled_from((1e-4, 3.7, 1e4)))
+def test_pe_table_invariant_under_scale(seed, scale):
+    V, _ = random_reduced_superbase(rng_seed=seed)
+    _assert_same_table(pe_3d(scale * V).per_ordering, pe_3d(V).per_ordering)
+
+
+@_INVARIANCE
+@given(seed=_SEEDS, pi=st.permutations((0, 1, 2)))
+def test_pe_table_follows_column_permutations(seed, pi):
+    # ordering sigma of V[:, pi] decodes the columns pi[sigma] of V
+    V, _ = random_reduced_superbase(rng_seed=seed)
+    base = pe_3d(V).per_ordering
+    permuted = pe_3d(V[:, list(pi)]).per_ordering
+    _assert_same_table(permuted, {s: base[tuple(pi[i] for i in s)] for s in base})
