@@ -55,11 +55,20 @@ def nearest_plane(R, X):
     B = np.zeros(X.shape)
     for m in range(R.shape[0] - 1, -1, -1):
         B[..., m] = round_half_up((X[..., m] - B[..., m + 1 :] @ R[m, m + 1 :]) / R[m, m])
-    # one check on the hot path; NaN fails it too and is told apart only then
+    return checked_int64(B, X, "nearest_plane")
+
+
+def checked_int64(B, X, caller):
+    """Rounded floats B as int64, after one range check computed from inputs X.
+
+    A non-finite X raises ValueError, a value of B outside int64
+    OverflowError. NaN fails the range check too and is told apart only
+    then, so the hot path pays for one comparison.
+    """
     if not ((B >= -_INT64_EDGE) & (B < _INT64_EDGE)).all():
         if not np.isfinite(X).all():
-            raise ValueError("nearest_plane targets must be finite")
-        raise OverflowError("nearest_plane coefficient outside the int64 range")
+            raise ValueError(f"{caller} inputs must be finite")
+        raise OverflowError(f"{caller} coefficient outside the int64 range")
     return B.astype(np.int64)
 
 

@@ -18,7 +18,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import UnsupportedDimensionError, _integer_box, as_basis, packing_density, qr_upper
-from .polytope import GEOM_TOL, normalize_halfspaces, polytope_from_halfspaces
+from .polytope import (
+    MERGE_TOL,
+    VERTEX_TOL,
+    assemble_polytopes,
+    distinct_planes,
+    first_copies,
+    normalize_halfspaces,
+    polytope_from_halfspaces,
+    solve_triples,
+)
 from .reduction import (
     OBTUSE_TOL,
     ConormSet,
@@ -46,18 +55,6 @@ FACET_COUNTS = {
     CellType.HexagonalPrism: 8,
     CellType.Cuboid: 6,
 }
-
-# (facets, vertices) pairs separate the two 12-facet shapes
-_COUNT_SIGNATURE = {
-    (14, 24): CellType.TruncatedOctahedron,
-    (12, 18): CellType.HexaRhombicDodecahedron,
-    (12, 14): CellType.RhombicDodecahedron,
-    (8, 12): CellType.HexagonalPrism,
-    (6, 8): CellType.Cuboid,
-}
-
-_COMPLEMENTARY_PAIRS = ({(0, 1), (2, 3)}, {(0, 2), (1, 3)}, {(0, 3), (1, 2)})
-
 
 def relevant_vector_candidates(sb):
     """The seven sums v_1, v_2, v_3, v_12, v_13, v_23, v_123, as rows."""
@@ -113,49 +110,32 @@ def voronoi_vertices_conorm_formula(sb):
 
 
 def classify_cell(c, tol=1e-9):
-    """Parallelohedron type from the zero pattern of six conorms.
+    """Parallelohedron type from the graph of nonzero conorms.
 
-    Zero counts 0/1/3 map straight to truncated octahedron, hexa-rhombic
-    dodecahedron, cuboid; two zeros split by whether they form a
-    complementary pair (rhombic dodecahedron) or not (hexagonal prism).
-    Anything else falls back to rebuilding the cell from the conorms and
-    matching facet and vertex counts.
+    The conorms c_ij label the six edges of the complete graph on the
+    superbase labels 0..3; the cell type depends only on which edges carry a
+    conorm above tol (Conway & Sloane, "Low-dimensional lattices VI", Proc.
+    R. Soc. A 436, 1992). No zero gives the truncated octahedron, one the
+    hexa-rhombic dodecahedron; two zeros give the rhombic dodecahedron when
+    they form a complementary pair and the hexagonal prism when they share a
+    label; three zeros give the cuboid unless all three share one label.
+    There, and for four or more zeros, the nonzero edges leave some label
+    unconnected, the vectors of that part sum to 0, and ValueError is raised.
     """
     if not isinstance(c, ConormSet):
         c = ConormSet(np.asarray(c, dtype=float))
-    zeros = set(c.zero_pattern(tol))
-    if len(zeros) == 0:
-        return CellType.TruncatedOctahedron
-    if len(zeros) == 1:
-        return CellType.HexaRhombicDodecahedron
+    zeros = [set(pair) for pair in c.zero_pattern(tol)]
+    if len(zeros) < 2:
+        return (CellType.TruncatedOctahedron, CellType.HexaRhombicDodecahedron)[len(zeros)]
     if len(zeros) == 2:
-        if zeros in _COMPLEMENTARY_PAIRS:
+        if zeros[0].isdisjoint(zeros[1]):
             return CellType.RhombicDodecahedron
         return CellType.HexagonalPrism
-    if len(zeros) == 3 and len({i for pair in zeros for i in pair}) == 3:
-        # three zeros on three of the four labels: orthogonal basis directions
+    if len(zeros) == 3 and not set.intersection(*zeros):
         return CellType.Cuboid
-    return _classify_by_counts(c)
-
-
-def _classify_by_counts(c):
-    """Fallback classification: conorms fix the Gram matrix, rebuild and count."""
-    vals = np.maximum(c.values, 0.0)
-    cs = ConormSet(vals)
-    A = np.empty((3, 3))
-    for s in (1, 2, 3):
-        A[s - 1, s - 1] = sum(cs[(s, t)] for t in range(4) if t != s)
-    for s, t in ((1, 2), (1, 3), (2, 3)):
-        A[s - 1, t - 1] = A[t - 1, s - 1] = -cs[(s, t)]
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        raise ValueError("conorm pattern does not describe a full-rank lattice") from None
-    cell = voronoi_cell_3d(Superbase.from_basis(L.T))
-    key = (cell.n_facets, cell.n_vertices)
-    if key not in _COUNT_SIGNATURE:
-        raise ValueError(f"cell with {key[0]} facets, {key[1]} vertices matches no known type")
-    return _COUNT_SIGNATURE[key]
+    raise ValueError(
+        f"conorm zero pattern {c.zero_pattern(tol)} does not describe a full-rank lattice"
+    )
 
 
 class Pe3DResult(NamedTuple):
@@ -166,13 +146,6 @@ class Pe3DResult(NamedTuple):
 
 # orderings whose P_e lies within this of the minimum count as tied
 ORDERING_TIE_TOL = 1e-14
-# a vertex satisfies a unit plane, or lies on it, within this slack. Refined
-# vertices are good to about 1e-16, and a tolerance near GEOM_TOL would put
-# a vertex on both of two planes that differ by about as much (a box plane
-# next to a cell plane at a near-zero conorm) and count the facet twice
-_VERTEX_TOL = 1e-12
-# feasible vertices closer than this (coefficient frame) are one vertex
-_MERGE_TOL = 1e-14
 _SUM_COEFFS = np.array(
     [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1]], dtype=float
 )
@@ -195,70 +168,6 @@ def _triple_tables():
     return cell, edges, corners
 
 
-def _solve_triples(N, c):
-    """Vertices of plane triples n_i.x = c_i (rows of N[..., i, :]) and a solvable mask.
-
-    Cramer's rule on the cofactors n_1 x n_2 etc., then one refinement step on
-    the residual with the same cofactors. Near-singular triples are masked.
-    """
-    n0, n1, n2 = N[..., 0, :], N[..., 1, :], N[..., 2, :]
-    C = np.stack([np.cross(n1, n2), np.cross(n2, n0), np.cross(n0, n1)], axis=-2)
-    det = np.einsum("...d,...d->...", n0, C[..., 0, :])
-    ok = np.abs(det) > 1e-10
-    det = np.where(ok, det, 1.0)[..., None]
-    x = np.einsum("...i,...id->...d", c, C) / det
-    r = c - np.einsum("...id,...d->...i", N, x)
-    x += np.einsum("...i,...id->...d", r, C) / det
-    return x, ok
-
-
-def _first_copies(X):
-    """Mask of the points X[..., i, :] with no earlier point within _MERGE_TOL."""
-    close = np.ones(X.shape[:-1] + X.shape[-2:-1], dtype=bool)
-    for d in range(3):
-        close &= np.abs(X[..., :, None, d] - X[..., None, :, d]) <= _MERGE_TOL
-    return ~np.tril(close, -1).any(axis=-1)
-
-
-def _polytope_volumes(N, c, keep, X, ok):
-    """Volumes of the polytopes {u : N[o] u <= c[o]} from candidate vertices X[o].
-
-    N, c hold unit planes (k, p, 3) and (k, p) with the origin inside; keep
-    masks the planes that count (a duplicate of an earlier plane neither
-    bounds nor carries a facet; its twin does). Candidates that solve a
-    triple (ok) and satisfy every kept plane are merged within _MERGE_TOL;
-    each facet's vertices are sorted by angle about their centroid, and the
-    volume is sum_f c_f area_f / 3.
-    """
-    slack = X @ N.transpose(0, 2, 1)
-    np.subtract(c[:, None, :], slack, out=slack)
-    feas = ok & ((slack >= -_VERTEX_TOL) | ~keep[:, None, :]).all(axis=-1)
-    # compact the feasible candidates to the front, padded to the longest list
-    idx = np.argsort(~feas, axis=1, kind="stable")[:, : int(feas.sum(axis=1).max())]
-    X = np.take_along_axis(X, idx[..., None], axis=1)
-    slack = np.take_along_axis(slack, idx[..., None], axis=1)
-    feas = np.take_along_axis(feas, idx, axis=1) & _first_copies(X)
-    on = (feas[:, :, None] & (np.abs(slack) <= _VERTEX_TOL) & keep[:, None, :]).transpose(0, 2, 1)
-    # in-plane coordinates (t1, t2) with t1 x t2 = n, so counterclockwise is positive
-    t1 = np.cross(N, np.eye(3)[np.argmin(np.abs(N), axis=-1)])
-    t1 /= np.linalg.norm(t1, axis=-1)[..., None]
-    t2 = np.cross(N, t1)
-    a = t1 @ X.transpose(0, 2, 1)
-    b = t2 @ X.transpose(0, 2, 1)
-    count = np.maximum(on.sum(axis=-1), 1)[..., None]
-    a -= (a * on).sum(axis=-1)[..., None] / count
-    b -= (b * on).sum(axis=-1)[..., None] / count
-    order = np.argsort(np.where(on, np.arctan2(b, a), 4.0), axis=-1)
-    on = np.take_along_axis(on, order, axis=-1)
-    a = np.take_along_axis(a, order, axis=-1)
-    b = np.take_along_axis(b, order, axis=-1)
-    # padding repeats the first vertex, which closes the cycle at zero area
-    a = np.where(on, a, a[..., :1])
-    b = np.where(on, b, b[..., :1])
-    area = 0.5 * (a * np.roll(b, -1, axis=-1) - np.roll(a, -1, axis=-1) * b).sum(axis=-1)
-    return (c * area / 3.0).sum(axis=-1)
-
-
 def _pe_orderings(A, signs, orders):
     """P_e of each column ordering from the Gram matrix A, in coefficients u (x = V u).
 
@@ -274,13 +183,13 @@ def _pe_orderings(A, signs, orders):
     # cell vertices are shared by all orderings. A vertex on two cell planes
     # and one box plane lies on a cell edge or is a cell vertex, so only pairs
     # of cell planes through a common cell vertex need solving with box planes
-    Xc, ok = _solve_triples(Nc[cell_triples], cc[cell_triples])
+    Xc, ok = solve_triples(Nc[cell_triples], cc[cell_triples])
     slack = cc - Xc @ Nc.T
-    ok &= (slack >= -_VERTEX_TOL).all(axis=1)
+    ok &= (slack >= -VERTEX_TOL).all(axis=1)
     Xc, slack = Xc[ok], slack[ok]
-    first = _first_copies(Xc)
+    first = first_copies(Xc, MERGE_TOL)
     Xc, slack = Xc[first], slack[first]
-    touch = (np.abs(slack) <= _VERTEX_TOL).astype(float)
+    touch = (np.abs(slack) <= VERTEX_TOL).astype(float)
     pairs = np.argwhere(np.triu(touch.T @ touch, 1) > 0)
 
     P = np.array(orders)
@@ -290,24 +199,22 @@ def _pe_orderings(A, signs, orders):
     Nb = np.zeros((k, 3, 3))
     np.put_along_axis(Nb, np.broadcast_to(P[:, None, :], (k, 3, 3)), M, axis=2)
     Nb, cb = normalize_halfspaces(np.concatenate([Nb, -Nb], axis=1), np.full((k, 6), 0.5))
+    N = np.concatenate([np.broadcast_to(Nc, (k, 14, 3)), Nb], axis=1)
+    c = np.hstack([np.broadcast_to(cc, (k, 14)), cb])
     # a box plane within GEOM_TOL of a cell plane is that plane: exactly for
     # the first box row, and at a conorm below GEOM_TOL, where dropping it
     # moves P_e by about the conorm
-    dup = np.abs(Nb[:, :, None, :] - Nc).max(axis=-1) <= GEOM_TOL
-    dup &= np.abs(cb[:, :, None] - cc) <= GEOM_TOL
-    keep = np.hstack([np.ones((k, 14), dtype=bool), ~dup.any(axis=-1)])
-    N = np.concatenate([np.broadcast_to(Nc, (k, 14, 3)), Nb], axis=1)
-    c = np.hstack([np.broadcast_to(cc, (k, 14)), cb])
+    keep = distinct_planes(N, c)
     triples = np.vstack([
         np.column_stack([np.repeat(pairs, 6, axis=0), np.tile(np.arange(14, 20), len(pairs))]),
         np.column_stack([np.repeat(np.arange(14), len(box_edges)), np.tile(box_edges, (14, 1))]),
         box_corners,
     ])
-    Xm, okm = _solve_triples(N[:, triples], c[:, triples])
+    Xm, okm = solve_triples(N[:, triples], c[:, triples])
     okm &= keep[:, triples].all(axis=-1)
     X = np.concatenate([np.broadcast_to(Xc, (k,) + Xc.shape), Xm], axis=1)
     ok = np.hstack([np.ones((k, len(Xc)), dtype=bool), okm])
-    vol = _polytope_volumes(N, c, keep, X, ok)
+    vol = assemble_polytopes(N, c, keep, X, ok).volume
     return np.clip(1.0 - vol, 0.0, 1.0)
 
 

@@ -1,36 +1,65 @@
-"""Convex polygon and polytope construction from halfspace descriptions.
+"""Convex polygons and polytopes from halfspace descriptions.
 
-Regions are {x : N x <= c} with unit row normals N. Vertices are enumerated
-by solving all d-subsets of the bounding hyperplanes and keeping feasible
-solutions; this is robust for the small systems used here (at most a few
-dozen halfspaces) and keeps degenerate configurations explicit.
+Regions are {x : N x <= c} with unit row normals N. In 3D one engine builds
+every polytope, for `polytope_from_halfspaces` and for `error3d.pe_3d`, and
+it works on stacks of polytopes at once:
+
+- `solve_triples` finds the vertex of each triple of planes by Cramer's rule
+  on the cofactors, then takes one refinement step on the residual with the
+  same cofactors; triples with |det| <= 1e-10 are masked as singular;
+- `first_copies` keeps the first of any rows (points, or planes as rows
+  (n, c)) that agree within a tolerance in every coordinate;
+- `assemble_polytopes` keeps the candidates that satisfy every plane within
+  VERTEX_TOL, merges those within MERGE_TOL, sorts each plane's vertices
+  (those within VERTEX_TOL of it) by angle about their centroid, which gives
+  the facet cycles, and sums the volume as sum_f c_f area_f / 3.
+
+Both tolerances are absolute, so `polytope_from_halfspaces` scales the
+offsets to max |c| = 1 before it calls the engine and gives the same answer
+at any scale. In 2D the pairs of halfplanes are solved directly and merged
+with the same `first_copies`.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
 GEOM_TOL = 1e-9
+# a vertex satisfies a unit plane, or lies on it, within this slack. Refined
+# vertices are good to about 1e-16, and a tolerance near GEOM_TOL would put
+# a vertex on both of two planes that differ by about as much (a box plane
+# next to a cell plane at a near-zero conorm) and count the facet twice
+VERTEX_TOL = 1e-12
+# feasible vertices closer than this in every coordinate are one vertex
+MERGE_TOL = 1e-14
 
 
 def normalize_halfspaces(normals, offsets):
-    """Scale each constraint n.x <= c so that ||n|| = 1 (normals on the last axis)."""
+    """Scale each constraint n.x <= c so that ||n|| = 1 (normals on the last axis).
+
+    A normal shorter than GEOM_TOL times the longest one counts as zero.
+    """
     N = np.asarray(normals, dtype=float)
     c = np.asarray(offsets, dtype=float)
     lens = np.linalg.norm(N, axis=-1)
-    if np.any(lens < GEOM_TOL):
+    if np.any(lens <= GEOM_TOL * lens.max(initial=0.0)):
         raise ValueError("zero normal in halfspace list")
     return N / lens[..., None], c / lens
 
 
-def _dedup(points, tol):
-    """Merge points closer than tol, keeping first occurrences (stable)."""
-    kept = []
-    for p in points:
-        if not any(np.linalg.norm(p - q) <= tol for q in kept):
-            kept.append(p)
-    return np.array(kept) if kept else np.zeros((0, points.shape[1]))
+def first_copies(X, tol):
+    """Mask of the rows X[..., i, :] with no earlier row within tol in every coordinate."""
+    close = np.ones(X.shape[:-1] + X.shape[-2:-1], dtype=bool)
+    for d in range(X.shape[-1]):
+        close &= np.abs(X[..., :, None, d] - X[..., None, :, d]) <= tol
+    return ~np.tril(close, -1).any(axis=-1)
+
+
+def distinct_planes(N, c):
+    """Mask of the unit planes (N[..., i, :], c[..., i]) that repeat no earlier plane."""
+    return first_copies(np.concatenate([N, c[..., None]], axis=-1), GEOM_TOL)
 
 
 def _feasible_intersections(N, c, tol):
@@ -44,8 +73,8 @@ def _feasible_intersections(N, c, tol):
     if not np.any(ok):
         return np.zeros((0, d))
     pts = np.linalg.solve(M[ok], rhs[ok][..., None])[..., 0]
-    feas = np.all(pts @ N.T <= c[None, :] + tol, axis=1)
-    return _dedup(pts[feas], tol)
+    pts = pts[np.all(pts @ N.T <= c[None, :] + tol, axis=1)]
+    return pts[first_copies(pts, tol)]
 
 
 @dataclass(frozen=True)
@@ -74,25 +103,96 @@ class Polygon2D:
         return bool(np.all(cross >= -tol))
 
 
-def polygon_from_halfplanes(normals, offsets, tol=GEOM_TOL):
-    """Intersect halfplanes {x : n.x <= c} into a convex polygon (possibly empty)."""
-    N, c = normalize_halfspaces(normals, offsets)
-    pts = _feasible_intersections(N, c, tol)
+def _counterclockwise(pts):
     if len(pts) < 3:
         return Polygon2D(vertices=pts.reshape(-1, 2))
     ctr = pts.mean(axis=0)
     ang = np.arctan2(pts[:, 1] - ctr[1], pts[:, 0] - ctr[0])
     return Polygon2D(vertices=pts[np.argsort(ang)])
+
+
+def polygon_from_halfplanes(normals, offsets, tol=GEOM_TOL):
+    """Intersect halfplanes {x : n.x <= c} into a convex polygon (possibly empty)."""
+    N, c = normalize_halfspaces(normals, offsets)
+    return _counterclockwise(_feasible_intersections(N, c, tol))
 
 
 def polygon_from_vertices(vertices):
     """Convex polygon from an unordered vertex cloud (sorted counterclockwise)."""
-    pts = _dedup(np.asarray(vertices, dtype=float), GEOM_TOL)
-    if len(pts) < 3:
-        return Polygon2D(vertices=pts.reshape(-1, 2))
-    ctr = pts.mean(axis=0)
-    ang = np.arctan2(pts[:, 1] - ctr[1], pts[:, 0] - ctr[0])
-    return Polygon2D(vertices=pts[np.argsort(ang)])
+    pts = np.asarray(vertices, dtype=float)
+    return _counterclockwise(pts[first_copies(pts, GEOM_TOL)])
+
+
+def solve_triples(N, c):
+    """Vertices of plane triples n_i.x = c_i (rows of N[..., i, :]) and a solvable mask.
+
+    Cramer's rule on the cofactors n_1 x n_2 etc., then one refinement step on
+    the residual with the same cofactors. Near-singular triples are masked.
+    """
+    n0, n1, n2 = N[..., 0, :], N[..., 1, :], N[..., 2, :]
+    C = np.stack([np.cross(n1, n2), np.cross(n2, n0), np.cross(n0, n1)], axis=-2)
+    det = np.einsum("...d,...d->...", n0, C[..., 0, :])
+    ok = np.abs(det) > 1e-10
+    det = np.where(ok, det, 1.0)[..., None]
+    x = np.einsum("...i,...id->...d", c, C) / det
+    r = c - np.einsum("...id,...d->...i", N, x)
+    x += np.einsum("...i,...id->...d", r, C) / det
+    return x, ok
+
+
+class Assembly(NamedTuple):
+    """Stacked polytopes built by assemble_polytopes.
+
+    Polytope o has the vertices X[o][is_vertex[o]]; cycles[o, p, :sizes[o, p]]
+    lists the indices into X[o] of the vertices on plane p, counterclockwise
+    seen from outside.
+    """
+
+    X: np.ndarray
+    is_vertex: np.ndarray
+    cycles: np.ndarray
+    sizes: np.ndarray
+    volume: np.ndarray
+
+
+def assemble_polytopes(N, c, keep, X, ok):
+    """Vertices, facet cycles and volumes of the polytopes {x : N[o] x <= c[o]}.
+
+    N, c hold unit planes (k, p, 3) and (k, p); keep masks the planes that
+    count (a duplicate of an earlier plane neither bounds nor carries a
+    facet; its twin does). X[o] holds candidate vertices and ok marks those
+    that solve a triple. Candidates that satisfy every kept plane within
+    VERTEX_TOL are merged within MERGE_TOL; each plane's vertices are sorted
+    by angle about their centroid, and the volume is sum_f c_f area_f / 3.
+    """
+    slack = X @ N.transpose(0, 2, 1)
+    np.subtract(c[:, None, :], slack, out=slack)
+    feas = ok & ((slack >= -VERTEX_TOL) | ~keep[:, None, :]).all(axis=-1)
+    # compact the feasible candidates to the front, padded to the longest list
+    idx = np.argsort(~feas, axis=1, kind="stable")[:, : int(feas.sum(axis=1).max(initial=0))]
+    X = np.take_along_axis(X, idx[..., None], axis=1)
+    slack = np.take_along_axis(slack, idx[..., None], axis=1)
+    feas = np.take_along_axis(feas, idx, axis=1) & first_copies(X, MERGE_TOL)
+    on = (feas[:, :, None] & (np.abs(slack) <= VERTEX_TOL) & keep[:, None, :]).transpose(0, 2, 1)
+    # in-plane coordinates (t1, t2) with t1 x t2 = n, so counterclockwise is positive
+    t1 = np.cross(N, np.eye(3)[np.argmin(np.abs(N), axis=-1)])
+    t1 /= np.linalg.norm(t1, axis=-1)[..., None]
+    t2 = np.cross(N, t1)
+    a = t1 @ X.transpose(0, 2, 1)
+    b = t2 @ X.transpose(0, 2, 1)
+    sizes = on.sum(axis=-1)
+    count = np.maximum(sizes, 1)[..., None]
+    a -= (a * on).sum(axis=-1)[..., None] / count
+    b -= (b * on).sum(axis=-1)[..., None] / count
+    order = np.argsort(np.where(on, np.arctan2(b, a), 4.0), axis=-1)
+    on = np.take_along_axis(on, order, axis=-1)
+    a = np.take_along_axis(a, order, axis=-1)
+    b = np.take_along_axis(b, order, axis=-1)
+    # padding repeats the first vertex, which closes the cycle at zero area
+    a = np.where(on, a, a[..., :1])
+    b = np.where(on, b, b[..., :1])
+    area = 0.5 * (a * np.roll(b, -1, axis=-1) - np.roll(a, -1, axis=-1) * b).sum(axis=-1)
+    return Assembly(X, feas, order, sizes, (c * area / 3.0).sum(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -101,13 +201,15 @@ class ConvexPolytope3D:
 
     facets[i] is a tuple of vertex indices in cyclic order (counterclockwise
     seen from outside); facet_normals[i] and facet_offsets[i] give the
-    supporting plane n.x = c with outward unit n.
+    supporting plane n.x = c with outward unit n. volume is the engine's
+    sum_f c_f area_f / 3.
     """
 
     vertices: np.ndarray
     facets: tuple
     facet_normals: np.ndarray
     facet_offsets: np.ndarray
+    volume: float
 
     @property
     def n_vertices(self):
@@ -138,23 +240,6 @@ class ConvexPolytope3D:
         """Facet planes as (normal, offset) pairs, outward normals."""
         return list(zip(self.facet_normals, self.facet_offsets))
 
-    @property
-    def volume(self):
-        """Tetrahedral fan from the vertex centroid over triangulated facets.
-
-        Facet cycles are counterclockwise from outside and the centroid is
-        interior, so the signed tetrahedron volumes are all nonnegative.
-        """
-        if self.n_vertices < 4 or self.n_facets < 4:
-            return 0.0
-        ctr = self.vertices.mean(axis=0)
-        total = 0.0
-        for cyc in self.facets:
-            P = self.vertices[list(cyc)] - ctr
-            cr = np.cross(P[1:-1], P[2:])
-            total += np.sum(cr @ P[0]) / 6.0
-        return float(abs(total))
-
     def is_centrally_symmetric(self, tol=1e-7):
         P = self.vertices
         if len(P) == 0:
@@ -166,7 +251,7 @@ class ConvexPolytope3D:
         q = np.asarray(point, dtype=float)
         return bool(np.all(self.facet_normals @ q <= self.facet_offsets + tol))
 
-    def validate(self, tol=1e-7):
+    def validate(self):
         """Structural checks: closed surface and Euler characteristic 2."""
         if self.n_vertices < 4:
             raise ValueError("degenerate polytope")
@@ -182,65 +267,37 @@ class ConvexPolytope3D:
         return True
 
 
-def _order_cycle(points, normal):
-    """Indices ordering coplanar points counterclockwise around their centroid."""
-    ctr = points.mean(axis=0)
-    ref = points[0] - ctr
-    nrm = np.linalg.norm(ref)
-    if nrm < GEOM_TOL:
-        ref = points[1] - ctr
-        nrm = np.linalg.norm(ref)
-    t1 = ref / nrm
-    t2 = np.cross(normal, t1)
-    rel = points - ctr
-    return np.argsort(np.arctan2(rel @ t2, rel @ t1))
-
-
-def polytope_from_halfspaces(normals, offsets, tol=GEOM_TOL, face_tol=None):
+def polytope_from_halfspaces(normals, offsets):
     """Build the bounded polytope {x : n.x <= c}. Empty or flat input gives 0 volume.
 
-    face_tol controls which vertices count as lying on a plane when facets are
-    assembled; it defaults to a small multiple of the vertex merge tolerance.
+    The offsets are scaled to max |c| = 1, repeated planes count once, and
+    the engine runs as a batch of one over all triples of the remaining
+    planes. A plane with at least three vertices carries a facet; a flat
+    polytope has some plane through all of its vertices.
     """
     N, c = normalize_halfspaces(normals, offsets)
-    if face_tol is None:
-        face_tol = 50.0 * tol
-    # merge repeated planes (equal unit normal and offset): a duplicated
-    # constraint would otherwise register the same facet twice below
-    rows = np.hstack([N, c[:, None]])
-    keep = []
-    for i in range(len(rows)):
-        if not any(np.abs(rows[i] - rows[j]).max() <= face_tol for j in keep):
-            keep.append(i)
-    N, c = N[keep], c[keep]
-    verts = _feasible_intersections(N, c, tol)
-    if len(verts) < 4:
-        return ConvexPolytope3D(verts.reshape(-1, 3), (), np.zeros((0, 3)), np.zeros(0))
-    # flatness check: genuine 3-polytope needs rank 3 vertex spread
-    sv = np.linalg.svd(verts - verts.mean(axis=0), compute_uv=False)
-    if sv[2] <= tol * max(1.0, sv[0]):
-        return ConvexPolytope3D(verts, (), np.zeros((0, 3)), np.zeros(0))
-    facets, fns, fcs = [], [], []
-    slack = np.abs(verts @ N.T - c[None, :])
-    for i in range(len(N)):
-        on = np.flatnonzero(slack[:, i] <= face_tol)
-        if len(on) < 3:
-            continue  # redundant plane: touches at most an edge or vertex
-        P = verts[on]
-        spread = np.linalg.svd(P - P.mean(axis=0), compute_uv=False)
-        if spread[1] <= tol * max(1.0, spread[0]):
-            continue  # collinear contact
-        facets.append(tuple(on[_order_cycle(P, N[i])]))
-        fns.append(N[i])
-        fcs.append(c[i])
-    return ConvexPolytope3D(verts, tuple(facets), np.array(fns), np.array(fcs))
+    scale = np.abs(c).max(initial=0.0) or 1.0
+    c = c / scale
+    distinct = distinct_planes(N, c)
+    N, c = N[distinct], c[distinct]
+    idx = np.array(list(combinations(range(len(N)), 3)), dtype=int).reshape(-1, 3)
+    X, ok = solve_triples(N[idx], c[idx])
+    asm = assemble_polytopes(N[None], c[None], np.ones((1, len(N)), dtype=bool), X[None], ok[None])
+    is_vertex, sizes = asm.is_vertex[0], asm.sizes[0]
+    verts = asm.X[0][is_vertex] * scale
+    if len(verts) < 4 or (sizes == len(verts)).any():
+        return ConvexPolytope3D(verts, (), np.zeros((0, 3)), np.zeros(0), 0.0)
+    faces = np.flatnonzero(sizes >= 3)
+    renumber = np.cumsum(is_vertex) - 1
+    facets = tuple(tuple(renumber[asm.cycles[0, f, : sizes[f]]].tolist()) for f in faces)
+    return ConvexPolytope3D(verts, facets, N[faces], c[faces] * scale, float(asm.volume[0]) * scale**3)
 
 
-def intersect_polytopes(halfspaces_a, halfspaces_b, tol=GEOM_TOL):
+def intersect_polytopes(halfspaces_a, halfspaces_b):
     """Polytope of the combined halfspace systems (normals, offsets) pairs."""
     Na, ca = halfspaces_a
     Nb, cb = halfspaces_b
-    return polytope_from_halfspaces(np.vstack([Na, Nb]), np.concatenate([ca, cb]), tol)
+    return polytope_from_halfspaces(np.vstack([Na, Nb]), np.concatenate([ca, cb]))
 
 
 def box_halfspaces(half_widths):

@@ -20,7 +20,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .babai import nearest_plane
+from .babai import checked_int64, nearest_plane
 from .core import as_basis, qr_upper, round_half_up
 
 
@@ -109,16 +109,17 @@ def node_encode(m: int, x_m, upper, profile: RationalProfile) -> NodeMessage:
     t - s/q >= [t] - 1/2, i.e. s <= q*(frac + 1/2) with frac = t - [t],
     so s = floor(q*(frac + 1/2)); the boundary lands in the absorbed case
     because rounding is half-up. The last node always sends s = 0.
-    A scalar x_m gives int fields; an array of samples gives int64 arrays.
+    A scalar x_m gives int fields; an array of samples gives int64 arrays,
+    and there a non-finite sample raises ValueError and a coefficient
+    outside int64 OverflowError.
     """
     R = np.asarray(upper, dtype=float)
     t = np.asarray(x_m, dtype=float) / R[m, m]
     b_tilde = round_half_up(t)
+    b_int = checked_int64(b_tilde, t, "node_encode") if t.ndim else int(b_tilde)
     qm = profile.q[m]
     s = np.minimum(np.maximum(np.floor(qm * (t - b_tilde + 0.5)), 0), qm - 1)
-    if t.ndim == 0:
-        return NodeMessage(node=m, b_tilde=int(b_tilde), s=int(s))
-    return NodeMessage(node=m, b_tilde=b_tilde.astype(np.int64), s=s.astype(np.int64))
+    return NodeMessage(node=m, b_tilde=b_int, s=s.astype(np.int64) if t.ndim else int(s))
 
 
 def fusion_decode(

@@ -120,9 +120,10 @@ class Superbase:
         return np.array([S[i, j] for i in range(self.n + 1) for j in range(i + 1, self.n + 1)])
 
     def is_obtuse(self, tol=OBTUSE_TOL):
+        """Every Selling parameter is at most tol times the largest squared norm."""
         S = self.selling
         off = S[~np.eye(len(S), dtype=bool)]
-        return bool(np.all(off <= tol))
+        return bool(np.all(off <= tol * S.diagonal().max()))
 
     def basis(self):
         """Generator matrix with columns v_1..v_n."""

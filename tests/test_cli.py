@@ -8,6 +8,7 @@ import pytest
 from latbabai import __version__
 from latbabai.babai import is_babai_error
 from latbabai.cli import main
+from latbabai.lattices import KNOWN_LATTICES
 
 
 def run_cli(capsys, *argv):
@@ -123,6 +124,21 @@ def test_pe3d_fcc_orderings(capsys):
     assert vals == [pytest.approx(0.150463, abs=1e-6), pytest.approx(0.166667, abs=1e-6)]
     assert doc["per_ordering"][doc["best_ordering"]] == doc["pe"]
     assert doc["density"] == pytest.approx(np.pi / (3 * np.sqrt(2.0)), abs=1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(KNOWN_LATTICES))
+def test_pe3d_and_reduce_at_any_scale(capsys, lattice_file, name):
+    V = np.asarray(KNOWN_LATTICES[name])
+    unit = run_json(capsys, "pe3d", "--lattice", name)
+    for scale in (1e-6, 1e-3, 1.0, 1e3, 1e4):
+        path = lattice_file((scale * V).T.tolist())
+        doc = run_json(capsys, "pe3d", "--lattice", path)
+        assert doc["cell_type"] == unit["cell_type"], scale
+        assert doc["per_ordering"].keys() == unit["per_ordering"].keys()
+        for perm, pe in unit["per_ordering"].items():
+            assert doc["per_ordering"][perm] == pytest.approx(pe, abs=1e-14), (scale, perm)
+        # the obtuse test is relative to the superbase's norms
+        assert run_cli(capsys, "reduce", "--lattice", path)[0] == 0
 
 
 def test_table1_rows(capsys):

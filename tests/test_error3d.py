@@ -50,6 +50,32 @@ def test_exemplar_cells_classify_and_count():
         cell.validate()
 
 
+# 1e-7 and 1e-10 put the cell's vertex spacing and its relevant vectors
+# below the 1e-9 geometry tolerance in absolute terms
+@pytest.mark.parametrize("scale", [1e-10, 1e-7, 1e-6, 1e-3, 1.0, 1e4])
+def test_exemplar_cells_at_any_scale(scale):
+    for ctype, (V, n_facets, n_vertices) in EXEMPLARS.items():
+        W = scale * np.asarray(V)
+        sb = to_obtuse_superbase(W)
+        assert np.allclose(sb.vectors, scale * to_obtuse_superbase(V).vectors, rtol=0, atol=scale * 1e-15)
+        cell = voronoi_cell_3d(sb)
+        assert (cell.n_facets, cell.n_vertices) == (n_facets, n_vertices), ctype
+        assert cell.volume == pytest.approx(volume(W), rel=1e-12)
+        cell.validate()
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), log_scale=st.floats(-6.0, 6.0))
+def test_random_cells_obey_euler_volume_and_type(seed, log_scale):
+    V, _ = random_reduced_superbase(rng_seed=seed)
+    W = 10.0**log_scale * V
+    cell = voronoi_cell_3d(W)
+    assert cell.euler_characteristic == 2
+    assert cell.volume == pytest.approx(volume(W), rel=1e-9)
+    # the conorm tolerance is absolute, so the type is read at unit scale
+    assert cell.n_facets == FACET_COUNTS[classify_cell(conorms(Superbase.from_basis(V)))]
+
+
 def test_exemplar_cell_volumes_equal_covolume():
     for V, _, _ in EXEMPLARS.values():
         cell = voronoi_cell_3d(to_obtuse_superbase(as_basis(V)))
@@ -170,15 +196,22 @@ def test_classify_cell_zero_patterns():
     assert classify_cell([1, 1, 1, 0, 0, 0]) is CellType.Cuboid
 
 
-def test_classify_cell_fallback_by_counts():
-    # three zeros spanning all four labels: not a triangle, so the direct
-    # rules pass and the rebuilt cell is counted (it comes out a cuboid)
+def test_classify_cell_three_zeros():
+    # zeros on a path through all four labels: (0,1), (0,2), (1,3)
     assert classify_cell(ConormSet(np.array([0.0, 0.0, 1.0, 1.0, 0.0, 1.0]))) is CellType.Cuboid
+    # zeros within tol count as zeros: the path (0,1), (2,3), (1,2)
+    assert classify_cell([1e-4, 0.5, 0.7, 1e-4, 0.4, 1e-4], tol=1e-3) is CellType.Cuboid
+    # zeros sharing label 0 leave v_0 orthogonal to all others, so v_0 = 0
+    with pytest.raises(ValueError):
+        classify_cell([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
 
 
 def test_classify_cell_rejects_degenerate_pattern():
     with pytest.raises(ValueError):
         classify_cell(ConormSet(np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0])))
+    # four zeros, three of them on label 0 (v_0 = 0)
+    with pytest.raises(ValueError):
+        classify_cell([0.0, 0.0, 0.0, 0.3, 0.0, 0.5])
 
 
 def test_intersect_volume_disjoint_and_self():

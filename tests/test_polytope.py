@@ -117,6 +117,8 @@ def test_empty_and_flat_polytopes_have_zero_volume():
     c2 = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 1.0])
     flat = polytope_from_halfspaces(N, c2)
     assert flat.volume == 0.0
+    # the slab's two faces hold every vertex: no 3D facet structure
+    assert flat.n_vertices == 4 and flat.n_facets == 0
 
 
 def test_volume_matches_monte_carlo_on_random_polytope():
@@ -134,3 +136,29 @@ def test_volume_matches_monte_carlo_on_random_polytope():
     est = box_vol * inside.mean()
     sigma = box_vol * np.sqrt(inside.mean() * (1 - inside.mean()) / n_mc)
     assert abs(poly.volume - est) < 4 * sigma
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-3, 1.0, 1e8])
+def test_polytope_is_scale_free(scale):
+    # the octahedron |x|+|y|+|z| <= s and a box away from the origin
+    signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=float)
+    oct3 = polytope_from_halfspaces(signs, np.full(8, scale))
+    assert (oct3.n_vertices, oct3.n_facets) == (6, 8)
+    assert oct3.volume == pytest.approx(4.0 / 3.0 * scale**3, rel=1e-12)
+    N, c = box_halfspaces([0.5, 0.5, 0.5])
+    lo = np.array([2.0, 3.0, 4.0])
+    box = polytope_from_halfspaces(N, scale * (c + N @ lo))
+    assert (box.n_vertices, box.n_facets, box.n_edges) == (8, 6, 12)
+    assert box.volume == pytest.approx(scale**3, rel=1e-12)
+    box.validate()
+
+
+def test_facet_cycles_run_counterclockwise_from_outside():
+    rng = np.random.default_rng(43)
+    N = rng.normal(size=(15, 3))
+    poly = polytope_from_halfspaces(N, np.ones(15))
+    for cyc, n in zip(poly.facets, poly.facet_normals):
+        P = poly.vertices[list(cyc)]
+        # Newell's vector of a counterclockwise cycle points along the outward normal
+        newell = np.cross(P, np.roll(P, -1, axis=0)).sum(axis=0)
+        assert newell @ n > 0

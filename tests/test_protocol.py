@@ -269,6 +269,18 @@ def test_fusion_decode_sum_beyond_int64_is_exact():
         assert fusion_decode(batch, R, prof).tolist() == [[expect, b1], [expect_neg, -b1]]
 
 
+def test_node_encode_array_rejects_out_of_range_and_non_finite_samples():
+    R = np.array([[1.0, 0.5], [0.0, 1.0]])
+    prof = rationalize(R)
+    # the scalar path returns the exact Python int; the array path cannot
+    assert node_encode(0, 1e19, R, prof).b_tilde == 10**19
+    with pytest.raises(OverflowError):
+        node_encode(0, np.array([1e19, 0.2]), R, prof)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            node_encode(0, np.array([0.2, bad]), R, prof)
+
+
 def test_fusion_decode_out_of_range_coefficient_raises():
     R = _hex_R()
     prof = rationalize(R)

@@ -81,6 +81,17 @@ def test_obtuse_superbase_on_all_known_lattices():
         assert sb.is_obtuse(), name
 
 
+def test_obtuse_test_is_scale_free():
+    for name, V in KNOWN_LATTICES.items():
+        sb = to_obtuse_superbase(as_basis(V))
+        for scale in (1e-6, 1e-3, 1e3, 1e4):
+            scaled = to_obtuse_superbase(scale * as_basis(V))
+            assert np.allclose(scaled.vectors, scale * sb.vectors, rtol=0, atol=scale * 1e-15), (name, scale)
+            assert conorms(scaled).zero_pattern(1e-9 * scale**2) == conorms(sb).zero_pattern(1e-9)
+    # a Selling parameter above tol times the largest squared norm still fails
+    assert not Superbase.from_basis(np.array([[1.0, 1e-9], [0.0, 1.0]])).is_obtuse()
+
+
 def test_obtuse_superbase_keeps_already_obtuse_basis():
     V = as_basis(BCC_UNIT)
     sb = to_obtuse_superbase(V)
