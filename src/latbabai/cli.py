@@ -229,9 +229,8 @@ def _cmd_levels(args):
 def _cmd_pe3d(args):
     V = _load_lattice(args.lattice)
     result = pe_3d(V)
-    # classify at the scale pe_3d works at (first column of norm 1), so the
-    # absolute conorm tolerance does not depend on the scale of V
-    cell = classify_cell(conorms(to_obtuse_superbase(V / np.linalg.norm(V[:, 0]))))
+    sb = to_obtuse_superbase(V)
+    cell = classify_cell(conorms(sb))
     _emit_json(args, {
         "pe": result.pe,
         "best_ordering": "".join(map(str, result.best_ordering)),

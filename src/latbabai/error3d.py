@@ -19,7 +19,6 @@ import numpy as np
 
 from .core import UnsupportedDimensionError, _integer_box, as_basis, packing_density, qr_upper
 from .polytope import (
-    MERGE_TOL,
     VERTEX_TOL,
     assemble_polytopes,
     distinct_planes,
@@ -114,8 +113,9 @@ def classify_cell(c, tol=1e-9):
 
     The conorms c_ij label the six edges of the complete graph on the
     superbase labels 0..3; the cell type depends only on which edges carry a
-    conorm above tol (Conway & Sloane, "Low-dimensional lattices VI", Proc.
-    R. Soc. A 436, 1992). No zero gives the truncated octahedron, one the
+    conorm above tol times the shortest squared norm (see
+    ConormSet.zero_pattern; Conway & Sloane, "Low-dimensional lattices VI",
+    Proc. R. Soc. A 436, 1992). No zero gives the truncated octahedron, one the
     hexa-rhombic dodecahedron; two zeros give the rhombic dodecahedron when
     they form a complementary pair and the hexagonal prism when they share a
     label; three zeros give the cuboid unless all three share one label.
@@ -187,7 +187,7 @@ def _pe_orderings(A, signs, orders):
     slack = cc - Xc @ Nc.T
     ok &= (slack >= -VERTEX_TOL).all(axis=1)
     Xc, slack = Xc[ok], slack[ok]
-    first = first_copies(Xc, MERGE_TOL)
+    first = first_copies(Xc, VERTEX_TOL)
     Xc, slack = Xc[first], slack[first]
     touch = (np.abs(slack) <= VERTEX_TOL).astype(float)
     pairs = np.argwhere(np.triu(touch.T @ touch, 1) > 0)

@@ -10,11 +10,12 @@ it works on stacks of polytopes at once:
 - `first_copies` keeps the first of any rows (points, or planes as rows
   (n, c)) that agree within a tolerance in every coordinate;
 - `assemble_polytopes` keeps the candidates that satisfy every plane within
-  VERTEX_TOL, merges those within MERGE_TOL, sorts each plane's vertices
-  (those within VERTEX_TOL of it) by angle about their centroid, which gives
-  the facet cycles, and sums the volume as sum_f c_f area_f / 3.
+  VERTEX_TOL, merges those within VERTEX_TOL in every coordinate, sorts each
+  plane's vertices (those within VERTEX_TOL of it) by angle about their
+  centroid, which gives the facet cycles, and sums the volume as
+  sum_f c_f area_f / 3.
 
-Both tolerances are absolute, so `polytope_from_halfspaces` scales the
+The tolerance is absolute, so `polytope_from_halfspaces` scales the
 offsets to max |c| = 1 before it calls the engine and gives the same answer
 at any scale. In 2D the pairs of halfplanes are solved directly and merged
 with the same `first_copies`.
@@ -27,24 +28,27 @@ from typing import NamedTuple
 import numpy as np
 
 GEOM_TOL = 1e-9
-# a vertex satisfies a unit plane, or lies on it, within this slack. Refined
-# vertices are good to about 1e-16, and a tolerance near GEOM_TOL would put
-# a vertex on both of two planes that differ by about as much (a box plane
-# next to a cell plane at a near-zero conorm) and count the facet twice
+# a vertex satisfies a unit plane, or lies on it, within this slack, and
+# feasible vertices closer than this in every coordinate are one vertex.
+# A tolerance near GEOM_TOL would put a vertex on both of two planes that
+# differ by about as much (a box plane next to a cell plane at a near-zero
+# conorm) and count the facet twice; a tighter merge keeps apart copies of
+# a vertex solved from nearly parallel planes (about 1e-13 apart on a cell
+# 1000 times longer than wide)
 VERTEX_TOL = 1e-12
-# feasible vertices closer than this in every coordinate are one vertex
-MERGE_TOL = 1e-14
 
 
 def normalize_halfspaces(normals, offsets):
     """Scale each constraint n.x <= c so that ||n|| = 1 (normals on the last axis).
 
-    A normal shorter than GEOM_TOL times the longest one counts as zero.
+    A normal within rounding (machine epsilon) of zero, relative to the
+    longest one, counts as zero; pe_3d's planes (A k) in the coefficient
+    frame span the square of the basis's aspect ratio.
     """
     N = np.asarray(normals, dtype=float)
     c = np.asarray(offsets, dtype=float)
     lens = np.linalg.norm(N, axis=-1)
-    if np.any(lens <= GEOM_TOL * lens.max(initial=0.0)):
+    if np.any(lens <= np.finfo(float).eps * lens.max(initial=0.0)):
         raise ValueError("zero normal in halfspace list")
     return N / lens[..., None], c / lens
 
@@ -162,7 +166,7 @@ def assemble_polytopes(N, c, keep, X, ok):
     count (a duplicate of an earlier plane neither bounds nor carries a
     facet; its twin does). X[o] holds candidate vertices and ok marks those
     that solve a triple. Candidates that satisfy every kept plane within
-    VERTEX_TOL are merged within MERGE_TOL; each plane's vertices are sorted
+    VERTEX_TOL are merged within VERTEX_TOL; each plane's vertices are sorted
     by angle about their centroid, and the volume is sum_f c_f area_f / 3.
     """
     slack = X @ N.transpose(0, 2, 1)
@@ -172,7 +176,7 @@ def assemble_polytopes(N, c, keep, X, ok):
     idx = np.argsort(~feas, axis=1, kind="stable")[:, : int(feas.sum(axis=1).max(initial=0))]
     X = np.take_along_axis(X, idx[..., None], axis=1)
     slack = np.take_along_axis(slack, idx[..., None], axis=1)
-    feas = np.take_along_axis(feas, idx, axis=1) & first_copies(X, MERGE_TOL)
+    feas = np.take_along_axis(feas, idx, axis=1) & first_copies(X, VERTEX_TOL)
     on = (feas[:, :, None] & (np.abs(slack) <= VERTEX_TOL) & keep[:, None, :]).transpose(0, 2, 1)
     # in-plane coordinates (t1, t2) with t1 x t2 = n, so counterclockwise is positive
     t1 = np.cross(N, np.eye(3)[np.argmin(np.abs(N), axis=-1)])

@@ -17,6 +17,8 @@ OBTUSE_TOL = 1e-10
 # canonical ordering of the six 3D index pairs; entries k and k+3 are the
 # complementary pairs {01,23}, {02,13}, {03,12}
 PAIR_ORDER_3D = ((0, 1), (0, 2), (0, 3), (2, 3), (1, 3), (1, 2))
+# row i marks the pairs that contain label i
+_LABEL_OF_PAIR = np.array([[i in pair for pair in PAIR_ORDER_3D] for i in range(4)], dtype=float)
 
 
 class ObtuseSuperbaseNotFound(ValueError):
@@ -120,10 +122,14 @@ class Superbase:
         return np.array([S[i, j] for i in range(self.n + 1) for j in range(i + 1, self.n + 1)])
 
     def is_obtuse(self, tol=OBTUSE_TOL):
-        """Every Selling parameter is at most tol times the largest squared norm."""
+        """Every Selling parameter p_ij is at most tol * |v_i| |v_j|.
+
+        The bound is per pair, so the test depends on neither the scale nor
+        the anisotropy of the superbase.
+        """
         S = self.selling
-        off = S[~np.eye(len(S), dtype=bool)]
-        return bool(np.all(off <= tol * S.diagonal().max()))
+        d = np.sqrt(S.diagonal())
+        return bool((np.triu(S, 1) <= tol * np.outer(d, d)).all())
 
     def basis(self):
         """Generator matrix with columns v_1..v_n."""
@@ -192,8 +198,13 @@ class ConormSet:
         return float(self.values[PAIR_ORDER_3D.index((i, j))])
 
     def zero_pattern(self, tol=1e-9):
-        """Index pairs whose conorm vanishes within tol."""
-        return tuple(p for p, v in zip(PAIR_ORDER_3D, self.values) if v <= tol)
+        """Index pairs whose conorm is at most tol times the squared norm of
+        the shortest superbase vector, so the pattern does not depend on scale.
+
+        |v_i|^2 is the sum of the conorms at label i.
+        """
+        bound = tol * (_LABEL_OF_PAIR @ self.values).min()
+        return tuple(p for p, v in zip(PAIR_ORDER_3D, self.values) if v <= bound)
 
 
 def conorms(sb):

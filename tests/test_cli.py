@@ -141,6 +141,15 @@ def test_pe3d_and_reduce_at_any_scale(capsys, lattice_file, name):
         assert run_cli(capsys, "reduce", "--lattice", path)[0] == 0
 
 
+def test_pe3d_and_reduce_on_a_long_prism(capsys, lattice_file):
+    # the identity superbase of this basis is not obtuse (p_12 = +0.3)
+    path = lattice_file([[1.0, 0.0, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1e5]])
+    doc = run_json(capsys, "pe3d", "--lattice", path)
+    assert doc["cell_type"] == "hexagonal_prism"
+    assert doc["pe"] == pytest.approx(0.0525, abs=1e-12)
+    assert run_cli(capsys, "reduce", "--lattice", path)[0] == 0
+
+
 def test_table1_rows(capsys):
     code, out, _ = run_cli(capsys, "table1")
     assert code == 0

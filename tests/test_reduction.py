@@ -87,9 +87,20 @@ def test_obtuse_test_is_scale_free():
         for scale in (1e-6, 1e-3, 1e3, 1e4):
             scaled = to_obtuse_superbase(scale * as_basis(V))
             assert np.allclose(scaled.vectors, scale * sb.vectors, rtol=0, atol=scale * 1e-15), (name, scale)
-            assert conorms(scaled).zero_pattern(1e-9 * scale**2) == conorms(sb).zero_pattern(1e-9)
-    # a Selling parameter above tol times the largest squared norm still fails
+            assert conorms(scaled).zero_pattern() == conorms(sb).zero_pattern()
+    # a Selling parameter above tol times the two norms still fails
     assert not Superbase.from_basis(np.array([[1.0, 1e-9], [0.0, 1.0]])).is_obtuse()
+
+
+@pytest.mark.parametrize("V", [
+    np.array([[1.0, 0.3], [0.0, 1e5]]),
+    np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e5]]),
+])
+def test_obtuse_test_ignores_a_long_vector(V):
+    # the identity superbase has p_12 = +0.3; a long v_n must not let it pass
+    assert not Superbase.from_basis(V).is_obtuse()
+    S = to_obtuse_superbase(V).selling
+    assert (S[~np.eye(len(S), dtype=bool)] <= 0.0).all()
 
 
 def test_obtuse_superbase_keeps_already_obtuse_basis():
