@@ -92,7 +92,11 @@ def gram(V):
 
 def volume(V):
     """Volume of the fundamental cell, |det V|."""
-    return float(abs(np.linalg.det(as_basis(V))))
+    return _volume(as_basis(V))
+
+
+def _volume(V):
+    return float(abs(np.linalg.det(V)))
 
 
 def qr_upper(V):
@@ -145,11 +149,13 @@ def shortest_vector(V):
     |u_i| <= ||row_i(V^-1)|| * min_j ||v_j||, so enumerating that box is exact.
     Ties are resolved to the lexicographically smallest coefficient vector.
     """
-    V = as_basis(V)
-    n = V.shape[0]
-    if n > 4:
+    return _shortest_vector(as_basis(V))
+
+
+def _shortest_vector(V):
+    if V.shape[0] > 4:
         raise UnsupportedDimensionError("shortest_vector enumerates only up to n = 4")
-    bound = float(np.sqrt(np.diag(gram(V)).min()))
+    bound = float(np.sqrt((V.T @ V).diagonal().min()))
     Vinv = np.linalg.inv(V)
     K = np.ceil(np.linalg.norm(Vinv, axis=1) * bound + 1e-9)
     U = _integer_box(K)
@@ -170,8 +176,8 @@ def packing_density(V):
     n = V.shape[0]
     if n not in _BALL_VOLUME:
         raise UnsupportedDimensionError("packing_density supports n in {1, 2, 3}")
-    rho = 0.5 * shortest_vector(V).norm
-    return float(_BALL_VOLUME[n](rho) / volume(V))
+    rho = 0.5 * _shortest_vector(V).norm
+    return float(_BALL_VOLUME[n](rho) / _volume(V))
 
 
 def cvp_bruteforce(V, x, window=3):

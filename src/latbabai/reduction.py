@@ -41,25 +41,26 @@ def is_minkowski_reduced(A, tol=1e-9):
 
     n = 1: 0 < a11. n = 2 adds a11 <= a22 and 2|a12| <= a11. n = 3 further
     requires a22 <= a33, 2|a13| <= a11, 2|a23| <= a22 and, over all eight
-    sign choices, 2|s1 a12 + s2 a13 + s3 a23| <= a11 + a22.
+    sign choices, 2|s1 a12 + s2 a13 + s3 a23| <= a11 + a22. Each bound is
+    relaxed by the factor 1 + tol, so neither scale nor anisotropy matters.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n) or n > 3:
         raise ValueError("Minkowski test implemented for square Gram matrices, n <= 3")
-    if A[0, 0] <= tol:
+    if A[0, 0] <= 0.0:
         return MinkowskiReport(False, "a11 <= 0")
     for s in range(n - 1):
-        if A[s, s] > A[s + 1, s + 1] + tol:
+        if A[s, s] > A[s + 1, s + 1] * (1.0 + tol):
             return MinkowskiReport(False, f"a{s+1}{s+1} > a{s+2}{s+2}")
     for s in range(n):
         for t in range(s + 1, n):
-            if 2.0 * abs(A[s, t]) > A[s, s] + tol:
+            if 2.0 * abs(A[s, t]) > A[s, s] * (1.0 + tol):
                 return MinkowskiReport(False, f"2|a{s+1}{t+1}| > a{s+1}{s+1}")
     if n == 3:
         for s1, s2, s3 in product((1, -1), repeat=3):
             lhs = 2.0 * abs(s1 * A[0, 1] + s2 * A[0, 2] + s3 * A[1, 2])
-            if lhs > A[0, 0] + A[1, 1] + tol:
+            if lhs > (A[0, 0] + A[1, 1]) * (1.0 + tol):
                 return MinkowskiReport(False, "2|±a12±a13±a23| > a11 + a22")
     return MinkowskiReport(True)
 

@@ -130,6 +130,7 @@ def test_pe3d_fcc_orderings(capsys):
 def test_pe3d_and_reduce_at_any_scale(capsys, lattice_file, name):
     V = np.asarray(KNOWN_LATTICES[name])
     unit = run_json(capsys, "pe3d", "--lattice", name)
+    unit_reduce = run_json(capsys, "reduce", "--lattice", name)
     for scale in (1e-6, 1e-3, 1.0, 1e3, 1e4):
         path = lattice_file((scale * V).T.tolist())
         doc = run_json(capsys, "pe3d", "--lattice", path)
@@ -137,8 +138,9 @@ def test_pe3d_and_reduce_at_any_scale(capsys, lattice_file, name):
         assert doc["per_ordering"].keys() == unit["per_ordering"].keys()
         for perm, pe in unit["per_ordering"].items():
             assert doc["per_ordering"][perm] == pytest.approx(pe, abs=1e-14), (scale, perm)
-        # the obtuse test is relative to the superbase's norms
-        assert run_cli(capsys, "reduce", "--lattice", path)[0] == 0
+        # the obtuse and Minkowski tests are relative to the basis's norms
+        doc = run_json(capsys, "reduce", "--lattice", path)
+        assert (doc["minkowski"], doc["violated"]) == (unit_reduce["minkowski"], unit_reduce["violated"]), scale
 
 
 def test_pe3d_and_reduce_on_a_long_prism(capsys, lattice_file):
@@ -147,7 +149,12 @@ def test_pe3d_and_reduce_on_a_long_prism(capsys, lattice_file):
     doc = run_json(capsys, "pe3d", "--lattice", path)
     assert doc["cell_type"] == "hexagonal_prism"
     assert doc["pe"] == pytest.approx(0.0525, abs=1e-12)
-    assert run_cli(capsys, "reduce", "--lattice", path)[0] == 0
+    # one long vector loosens no Minkowski test on the short ones
+    doc = run_json(capsys, "reduce", "--lattice", path)
+    assert (doc["minkowski"], doc["violated"]) == (True, None)
+    path = lattice_file([[1.0, 0.0, 0.0], [0.55, 1.0, 0.0], [0.0, 0.0, 1e4]])
+    doc = run_json(capsys, "reduce", "--lattice", path)
+    assert (doc["minkowski"], doc["violated"]) == (False, "2|a12| > a11")
 
 
 def test_table1_rows(capsys):

@@ -13,6 +13,7 @@ from latbabai.lattices import (
 )
 from latbabai.reduction import (
     ConormSet,
+    MinkowskiReport,
     PAIR_ORDER_3D,
     Superbase,
     conorms,
@@ -29,6 +30,16 @@ def test_minkowski_conditions_on_known_lattices():
     for name, V in KNOWN_LATTICES.items():
         W = superbase_to_minkowski(to_obtuse_superbase(as_basis(V)))
         assert is_minkowski_reduced(gram(W)).reduced, name
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_minkowski_verdict_does_not_depend_on_scale(scale):
+    for name, V in KNOWN_LATTICES.items():
+        W = superbase_to_minkowski(to_obtuse_superbase(as_basis(V)))
+        assert is_minkowski_reduced(gram(scale * W)) == MinkowskiReport(True, None), name
+    # the stored hexa-rhombic basis has its two longer vectors swapped
+    assert is_minkowski_reduced(gram(scale * as_basis(HEXA_RHOMBIC))).violated == "a22 > a33"
+    assert is_minkowski_reduced(gram(scale * np.diag([1.0, 1.0, 1.0 - 1e-6]))).violated == "a22 > a33"
 
 
 def test_minkowski_violations_are_reported():
