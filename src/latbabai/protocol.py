@@ -284,10 +284,13 @@ def centralized_total_rate(
     log2 of their quantizer step alpha * r_mm), the last is the side
     information, which does not depend on alpha. The empirical figure
     replaces the coefficient budget with plug-in entropies of the simulated
-    rounded coefficients.
+    rounded coefficients; samples=0 skips it, and any other count below 100
+    raises ValueError, as in interactive_simulate.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    if samples:
+        _check_entropy_samples(samples)
     V = as_basis(basis)
     n = V.shape[0]
     if len(sources) != n:
@@ -313,11 +316,46 @@ def centralized_total_rate(
     return TotalRateReport(bound_bits=float(bound), empirical_bits=empirical, side_info_bits=float(side))
 
 
+def _check_entropy_samples(samples: int) -> None:
+    if samples < 100:
+        raise ValueError("refusing an entropy estimate from fewer than 100 samples")
+
+
 def _plugin_entropy_bits(rows: np.ndarray) -> float:
-    """Plug-in entropy of the empirical joint distribution of integer rows."""
+    """Plug-in entropy of the empirical joint distribution of integer rows.
+
+    Each row becomes one uint64 key, a mixed-radix number over the columns
+    shifted by their minimum, first column most significant. Where the radix
+    product would reach 2**64, the running key is first replaced by its
+    dense rank, and so is a column whose own range does not fit beside it.
+    The sorted keys order the rows lexicographically, as
+    `np.unique(rows, axis=0)` does, so the counts, and with them the summed
+    bits, come in the same order.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         return 0.0
-    _, counts = np.unique(rows, axis=0, return_counts=True)
+    rows = rows.reshape(len(rows), -1)
+    key = np.zeros(len(rows), dtype=np.uint64)
+    radix = 1
+    for col in rows.T:
+        lo = col.min()
+        span = int(col.max()) - int(lo) + 1
+        # the difference wraps modulo 2**64 onto the exact offset
+        digit = col.view(np.uint64) - np.uint64(lo.view(np.uint64))
+        if radix * span >= 1 << 64:
+            _, key = np.unique(key, return_inverse=True)
+            key = key.astype(np.uint64)
+            radix = int(key.max()) + 1
+        if radix * span >= 1 << 64:
+            _, digit = np.unique(digit, return_inverse=True)
+            digit = digit.astype(np.uint64)
+            span = int(digit.max()) + 1
+        key = key * np.uint64(span) + digit
+        radix *= span
+    key.sort()
+    edges = np.flatnonzero(key[1:] != key[:-1]) + 1
+    counts = np.diff(edges, prepend=0, append=len(key))
     freq = counts / counts.sum()
     return float(-(freq * np.log2(freq)).sum())
 
@@ -357,8 +395,7 @@ def interactive_simulate(
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if samples < 100:
-        raise ValueError("refusing an entropy estimate from fewer than 100 samples")
+    _check_entropy_samples(samples)
     V = as_basis(basis)
     n = V.shape[0]
     if len(sources) != n:

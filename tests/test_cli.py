@@ -230,6 +230,16 @@ def test_protocol_sim_interactive(capsys):
     assert abs(doc["empirical_rate"] - doc["rate_bound"]) / 2 < 0.5
 
 
+@pytest.mark.parametrize("model", ["centralized", "interactive"])
+def test_protocol_sim_too_few_samples_exits_2(capsys, model):
+    code, _, err = run_cli(
+        capsys, "protocol-sim", "--model", model, "--lattice", "hexagonal",
+        "--alpha", "0.0625", "--samples", "50",
+    )
+    assert code == 2
+    assert "fewer than 100 samples" in err
+
+
 def test_protocol_sim_irrational_lattice_exits_3(capsys, lattice_file):
     path = lattice_file([[1.0, 0.0], [1.0 / 3.0 + 1e-8, 1.0]])
     code, _, err = run_cli(

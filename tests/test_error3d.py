@@ -19,7 +19,16 @@ from latbabai.error3d import (
     voronoi_vertices_conorm_formula,
 )
 from latbabai.error3d import _scan_one
-from latbabai.lattices import BCC, BCC_UNIT, CUBIC_3D, FCC, HEXA_RHOMBIC, HEXAGONAL_PRISM
+from latbabai.lattices import (
+    BCC,
+    BCC_UNIT,
+    CUBIC_3D,
+    FCC,
+    HEXA_RHOMBIC,
+    HEXAGONAL_2D,
+    HEXAGONAL_PRISM,
+    KNOWN_LATTICES,
+)
 from latbabai.polytope import intersect_polytopes
 from latbabai.reduction import (
     ConormSet,
@@ -320,6 +329,33 @@ def test_mc_pe_oracle_exact_cases():
     pe_f, se_f = mc_pe_oracle(FCC, samples=200000, seed=8)
     # MC samples the identity ordering box; FCC identity ordering gives 1/6
     assert abs(pe_f - pe_3d(FCC, search_orderings=False).pe) < 4 * se_f
+
+
+# (estimate, se) of mc_pe_oracle as float.hex, recorded from the full-ball,
+# 2**16-row implementation; the sample counts are not multiples of any chunk
+MC_PINS = {
+    ("cubic", 200_001, 11): ("0x0.0p+0", "0x0.0p+0"),
+    ("cubic", 70_000, 12): ("0x0.0p+0", "0x0.0p+0"),
+    ("hexa_rhombic_dodecahedron", 200_001, 11): ("0x1.0c07d952dee15p-3", "0x1.8b631218ca76ep-11"),
+    ("hexa_rhombic_dodecahedron", 70_000, 12): ("0x1.0af8af8af8af9p-3", "0x1.4d9a23b7cce38p-10"),
+    ("hexagonal_prism", 200_001, 11): ("0x1.54e88b4b45204p-4", "0x1.43d59bbafd62cp-11"),
+    ("hexagonal_prism", 70_000, 12): ("0x1.50b0f27bb2fecp-4", "0x1.10253257357efp-10"),
+    ("bcc", 200_001, 11): ("0x1.2a7e980b9a13ap-3", "0x1.9daa779e7bbb8p-11"),
+    ("bcc", 70_000, 12): ("0x1.2581f5d18a270p-3", "0x1.5b2c6206ef278p-10"),
+    ("fcc", 200_001, 11): ("0x1.5748b7147dcd9p-3", "0x1.b5e6da95f0278p-11"),
+    ("fcc", 70_000, 12): ("0x1.53e156a8df4a6p-3", "0x1.709fa007aba53p-10"),
+    ("hexagonal_2d", 200_001, 11): ("0x1.53d2ac40fce2cp-4", "0x1.435d7cd1a5679p-11"),
+    ("hexagonal_2d", 70_000, 12): ("0x1.5335128c8d22fp-4", "0x1.1111a0a20e5f7p-10"),
+    ("line_1d", 200_001, 11): ("0x0.0p+0", "0x0.0p+0"),
+    ("line_1d", 70_000, 12): ("0x0.0p+0", "0x0.0p+0"),
+}
+MC_BASES = {**KNOWN_LATTICES, "hexagonal_2d": HEXAGONAL_2D, "line_1d": np.array([[1.5]])}
+
+
+@pytest.mark.parametrize("name, samples, seed", sorted(MC_PINS))
+def test_mc_pe_oracle_is_pinned_bit_for_bit(name, samples, seed):
+    pe, se = mc_pe_oracle(MC_BASES[name], samples, seed=seed)
+    assert (pe.hex(), se.hex()) == MC_PINS[(name, samples, seed)]
 
 
 def test_mc_pe_oracle_guards():

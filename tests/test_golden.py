@@ -34,6 +34,12 @@ COMMANDS = {
     "table2_scan": "table2-scan --trials 3000 --seed 0",
     "protocol_centralized": "protocol-sim --model centralized --lattice hexagonal --alpha 0.00390625",
     "protocol_interactive": "protocol-sim --model interactive --lattice hexagonal --alpha 0.00390625",
+    "protocol_interactive_bcc_gauss": (
+        "protocol-sim --model interactive --lattice bcc --alpha 0.0625 --source gauss --samples 20000"
+    ),
+    "protocol_centralized_bcc_gauss": (
+        "protocol-sim --model centralized --lattice bcc --alpha 0.0625 --source gauss --samples 20000"
+    ),
 }
 
 

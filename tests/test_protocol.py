@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from latbabai.babai import nearest_plane
 from latbabai.core import as_basis, qr_upper, round_half_up
@@ -23,7 +26,7 @@ from latbabai.protocol import (
     run_centralized,
     uniform_source,
 )
-from latbabai.protocol import _varint_bits
+from latbabai.protocol import _plugin_entropy_bits, _varint_bits
 
 EXAMPLE_5 = np.array([[1.0, 0.4], [0.0, 2.0]])
 EXAMPLE_7 = np.array([[1.0, 0.311], [0.0, 1.01]])
@@ -289,9 +292,50 @@ def test_fusion_decode_out_of_range_coefficient_raises():
 
 
 def _entropy_bits(rows):
+    # the library's former np.unique(axis=0) form, kept as the reference
+    if rows.size == 0:
+        return 0.0
     _, counts = np.unique(rows, axis=0, return_counts=True)
     freq = counts / counts.sum()
     return float(-(freq * np.log2(freq)).sum())
+
+
+I64 = np.iinfo(np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hnp.arrays(
+        np.int64,
+        st.tuples(st.integers(0, 40), st.integers(1, 4)),
+        elements=st.one_of(st.integers(-3, 3), st.integers(I64.min, I64.max)),
+    )
+)
+def test_plugin_entropy_bits_equals_unique_rows_reference(rows):
+    assert _plugin_entropy_bits(rows).hex() == _entropy_bits(rows).hex()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.empty((0, 3), dtype=np.int64),
+        np.array([[7, -2, 0]]),
+        np.full((9, 2), -5),
+        np.array([[I64.min], [I64.max], [0], [I64.max], [I64.min], [I64.min]]),
+        np.array(
+            [
+                [I64.min, I64.max, -1],
+                [I64.max, I64.min, 0],
+                [I64.min, I64.max, -1],
+                [0, I64.min, I64.max],
+                [I64.max, I64.min, 1],
+            ]
+        ),
+    ],
+    ids=["zero_rows", "one_row", "all_equal", "full_range_column", "full_range_stack"],
+)
+def test_plugin_entropy_bits_edge_cases(rows):
+    assert _plugin_entropy_bits(rows).hex() == _entropy_bits(rows).hex()
 
 
 def test_simulated_rates_come_from_the_decoded_coefficients():
@@ -423,6 +467,17 @@ def test_interactive_simulate_agreement_and_rate():
     assert trace.bits_side_info == 0.0
     approx = interactive_rate_approximation(srcs, HEXAGONAL_2D, alpha)
     assert abs(rate - approx) / 2 < 0.3
+
+
+def test_centralized_total_rate_sample_guard():
+    srcs = [uniform_source(0.0, 1.0)] * 2
+    assert centralized_total_rate(srcs, HEXAGONAL_2D, 2**-8, samples=0).empirical_bits is None
+    for bad in (3, 99, -5):
+        with pytest.raises(ValueError, match="fewer than 100 samples"):
+            centralized_total_rate(srcs, HEXAGONAL_2D, 2**-8, samples=bad, seed=1)
+        with pytest.raises(ValueError, match="fewer than 100 samples"):
+            interactive_simulate(srcs, HEXAGONAL_2D, 2**-8, samples=bad, seed=1)
+    assert centralized_total_rate(srcs, HEXAGONAL_2D, 2**-8, samples=100, seed=1).empirical_bits > 0
 
 
 def test_interactive_simulate_guards():
