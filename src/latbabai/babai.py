@@ -11,10 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import LatticePoint, as_basis, cvp_bruteforce, round_half_up
-
-
-_INT64_EDGE = 2.0**63
+from .core import LatticePoint, _cvp, _nearest_plane, as_basis, checked_int64
 
 
 @lru_cache(maxsize=None)
@@ -52,24 +49,7 @@ def nearest_plane(R, X):
     """
     R = _check_upper(R)
     X = _as_targets(X, R.shape[0])
-    B = np.zeros(X.shape)
-    for m in range(R.shape[0] - 1, -1, -1):
-        B[..., m] = round_half_up((X[..., m] - B[..., m + 1 :] @ R[m, m + 1 :]) / R[m, m])
-    return checked_int64(B, X, "nearest_plane")
-
-
-def checked_int64(B, X, caller):
-    """Rounded floats B as int64, after one range check computed from inputs X.
-
-    A non-finite X raises ValueError, a value of B outside int64
-    OverflowError. NaN fails the range check too and is told apart only
-    then, so the hot path pays for one comparison.
-    """
-    if not ((B >= -_INT64_EDGE) & (B < _INT64_EDGE)).all():
-        if not np.isfinite(X).all():
-            raise ValueError(f"{caller} inputs must be finite")
-        raise OverflowError(f"{caller} coefficient outside the int64 range")
-    return B.astype(np.int64)
+    return checked_int64(_nearest_plane(R, X), X, "nearest_plane")
 
 
 def nearest_plane_general(V, X):
@@ -77,12 +57,16 @@ def nearest_plane_general(V, X):
 
     R = cholesky(V^T V)^T is the upper triangular generator of the rotated
     lattice, V = Q R with Q orthogonal, so the target's coordinates in that
-    frame are Q^T x = R^-T V^T x and nearest_plane finishes the job.
+    frame are Q^T x = R^-T V^T x and the nearest-plane recursion finishes the job.
     """
     V = as_basis(V)
-    X = _as_targets(X, V.shape[0])
+    return _nearest_plane_general(V, _as_targets(X, V.shape[0]))
+
+
+def _nearest_plane_general(V, X):
     R = np.linalg.cholesky(V.T @ V).T
-    return nearest_plane(R, np.linalg.solve(R.T, (X @ V).T).T)
+    T = np.linalg.solve(R.T, (X @ V).T).T
+    return checked_int64(_nearest_plane(R, T), T, "nearest_plane")
 
 
 @dataclass(frozen=True)
@@ -107,16 +91,16 @@ def babai_cell(R, b):
     return BabaiCell(center=R @ b, half_widths=0.5 * np.diag(R).copy())
 
 
-def is_babai_error(V, x, window=3):
+def is_babai_error(V, x):
     """True when nearest-plane lands strictly farther from x than the true closest point.
 
-    Distances are compared with 1e-12 slack, so exact ties on cell boundaries
-    do not count as errors.
+    The closest point is cvp_bruteforce's, exact for any basis. Distances are
+    compared with 1e-12 slack, so ties on cell boundaries are not errors.
     """
     V = as_basis(V)
     x = np.asarray(x, dtype=float)
-    approx = nearest_plane_general(V, x)
-    exact = cvp_bruteforce(V, x, window=window)
+    approx = _nearest_plane_general(V, x)
+    exact = _cvp(V, x)
     d_approx = np.linalg.norm(x - V @ approx)
     return bool(d_approx > np.linalg.norm(x - exact.point) + 1e-12)
 

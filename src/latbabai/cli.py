@@ -177,7 +177,7 @@ def _cmd_babai(args):
     if x.shape != (V.shape[0],):
         raise ValueError(f"target needs {V.shape[0]} comma-separated components")
     approx = babai_point(V, x)
-    exact = cvp_bruteforce(V, x, window=args.window)
+    exact = cvp_bruteforce(V, x)
     is_error = bool(
         np.linalg.norm(x - approx.point) > np.linalg.norm(x - exact.point) + 1e-12
     )
@@ -371,7 +371,6 @@ def _build_parser():
     p = add("babai", _cmd_babai, help="nearest-plane point vs exact closest point")
     p.add_argument("--lattice", required=True)
     p.add_argument("--target", required=True, help="comma-separated coordinates")
-    p.add_argument("--window", type=int, default=3)
 
     p = add("pe2d", _cmd_pe2d, help="2D error probability (closed form or geometric)")
     p.add_argument("--a", type=float, default=None)

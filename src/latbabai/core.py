@@ -6,10 +6,12 @@ Everything here works on plain numpy arrays.
 """
 
 import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+
+_INT64_EDGE = 2.0**63
 
 
 class RankDeficiencyError(ValueError):
@@ -21,7 +23,7 @@ class UnsupportedDimensionError(ValueError):
 
 
 class EnumerationWindowWarning(UserWarning):
-    """A closest-point search returned a candidate on the edge of its box."""
+    """Never raised: every enumeration searches a certified box. Kept for warning filters."""
 
 
 @dataclass(frozen=True)
@@ -124,47 +126,71 @@ def round_half_up(y):
     return np.floor(np.asarray(y, dtype=float) + 0.5)
 
 
+def checked_int64(B, X, caller):
+    """Rounded floats B as int64, after one range check computed from inputs X.
+
+    A non-finite X raises ValueError, a value of B outside int64
+    OverflowError. NaN fails the range check too and is told apart only
+    then, so the hot path pays for one comparison.
+    """
+    if not ((B >= -_INT64_EDGE) & (B < _INT64_EDGE)).all():
+        if not np.isfinite(X).all():
+            raise ValueError(f"{caller} inputs must be finite")
+        raise OverflowError(f"{caller} coefficient outside the int64 range")
+    return B.astype(np.int64)
+
+
 def unit_volume_normalize(V):
     """Rescale the basis so the fundamental cell has volume 1."""
     V = as_basis(V)
     return V / volume(V) ** (1.0 / V.shape[0])
 
 
-def _integer_box(K):
-    """All integer vectors u with |u_i| <= K_i, as an (m, n) array."""
-    axes = [np.arange(-int(k), int(k) + 1) for k in K]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+def _certified_box(Vinv, r, y=0.0):
+    """Every integer u with |u_i - y_i| <= r ||row_i(V^-1)|| (plus 1e-9 for rounding).
+
+    It holds every lattice point V u within r of x = V y, since u - y =
+    V^-1 (V u - x) (Fincke & Pohst, Math. Comp. 44, 1985). Rows come in
+    lexicographic order, so about y = 0 the row of -u mirrors that of u.
+    """
+    if len(Vinv) > 4:
+        raise UnsupportedDimensionError("lattice enumeration covers only n <= 4")
+    half = np.linalg.norm(Vinv, axis=1) * r + 1e-9
+    lo = np.ceil(y - half).astype(np.int64)
+    hi = np.floor(y + half).astype(np.int64)
+    return np.indices(hi - lo + 1).reshape(len(lo), -1).T + lo
 
 
-def _lex_smallest(U):
-    # lexsort keys are significant last-to-first, so feed reversed columns
-    return U[np.lexsort(U.T[::-1])[0]]
+def _nearest_in_box(V, U, x):
+    """Nearest lattice point to x among rows U; the first row within 1e-12 (squared) wins."""
+    D = U @ V.T - x
+    d2 = np.einsum("ij,ij->i", D, D)
+    u = U[np.argmax(d2 <= d2.min() + 1e-12)]
+    return LatticePoint(coeffs=u.astype(int), point=V @ u)
+
+
+def _nearest_plane(R, T):
+    """The recursion of babai.nearest_plane as rounded floats, with no input checks."""
+    B = np.zeros(T.shape)
+    for m in range(R.shape[0] - 1, -1, -1):
+        B[..., m] = round_half_up((T[..., m] - B[..., m + 1 :] @ R[m, m + 1 :]) / R[m, m])
+    return B
 
 
 def shortest_vector(V):
     """Shortest nonzero lattice vector by certified enumeration.
 
-    Any nonzero vector of norm <= min_i ||v_i|| has coefficients bounded by
-    |u_i| <= ||row_i(V^-1)|| * min_j ||v_j||, so enumerating that box is exact.
-    Ties are resolved to the lexicographically smallest coefficient vector.
+    Any nonzero vector of norm <= min_j ||v_j|| lies in the certified box of
+    that radius around 0, so enumerating the box is exact. Ties are resolved
+    to the lexicographically smallest coefficient vector.
     """
     return _shortest_vector(as_basis(V))
 
 
 def _shortest_vector(V):
-    if V.shape[0] > 4:
-        raise UnsupportedDimensionError("shortest_vector enumerates only up to n = 4")
     bound = float(np.sqrt((V.T @ V).diagonal().min()))
-    Vinv = np.linalg.inv(V)
-    K = np.ceil(np.linalg.norm(Vinv, axis=1) * bound + 1e-9)
-    U = _integer_box(K)
-    U = U[np.any(U != 0, axis=1)]
-    P = U @ V.T
-    norms2 = np.einsum("ij,ij->i", P, P)
-    best = norms2.min()
-    u = _lex_smallest(U[norms2 <= best + 1e-12])
-    return LatticePoint(coeffs=u.astype(int), point=V @ u)
+    U = _certified_box(np.linalg.inv(V), bound)
+    return _nearest_in_box(V, U[np.any(U != 0, axis=1)], 0.0)
 
 
 _BALL_VOLUME = {1: lambda r: 2.0 * r, 2: lambda r: np.pi * r**2, 3: lambda r: 4.0 * np.pi * r**3 / 3.0}
@@ -180,27 +206,23 @@ def packing_density(V):
     return float(_BALL_VOLUME[n](rho) / _volume(V))
 
 
-def cvp_bruteforce(V, x, window=3):
-    """Exact closest lattice point by enumeration around the rounded coordinates.
+def cvp_bruteforce(V, x):
+    """Exact closest lattice point for any basis (n <= 4), by certified enumeration.
 
-    The search box is centered on round(V^-1 x) and extends `window` steps in
-    every coefficient. window = 3 is ample for the mildly skewed bases used
-    here; a warning is raised if the minimizer lands on the box edge.
+    Every point at least as close as the nearest-plane point b lies in the box
+    of radius r = |x - V b| around V^-1 x (Agrell, Eriksson, Vardy & Zeger,
+    IEEE Trans. IT 48(8), 2002); r is padded by a relative 1e-9 to keep ties
+    inside. Ties go to the lexicographically smallest coefficient vector.
     """
-    V = as_basis(V)
-    x = np.asarray(x, dtype=float)
-    n = V.shape[0]
-    if n > 4:
-        raise UnsupportedDimensionError("cvp_bruteforce enumerates only up to n = 4")
-    center = np.rint(np.linalg.solve(V, x)).astype(int)
-    U = center + _integer_box([window] * n)
-    P = U @ V.T
-    d2 = np.einsum("ij,ij->i", P - x, P - x)
-    best = d2.min()
-    u = _lex_smallest(U[d2 <= best + 1e-12])
-    if np.any(np.abs(u - center) >= window):
-        warnings.warn(
-            "closest point sits on the search box boundary; result may be wrong, increase window",
-            EnumerationWindowWarning,
-        )
-    return LatticePoint(coeffs=u.astype(int), point=V @ u)
+    return _cvp(as_basis(V), np.asarray(x, dtype=float))
+
+
+def _cvp(V, x):
+    if not np.isfinite(x).all():
+        raise ValueError("cvp_bruteforce target must be finite")
+    Vinv = np.linalg.inv(V)
+    y = Vinv @ x
+    R = np.linalg.cholesky(V.T @ V).T
+    b = checked_int64(_nearest_plane(R, R @ y), x, "cvp_bruteforce")
+    r = float(np.linalg.norm(x - V @ b))
+    return _nearest_in_box(V, _certified_box(Vinv, r * (1.0 + 1e-9), y), x)

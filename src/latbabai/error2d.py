@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_basis, qr_upper, volume
+from .core import _certified_box, as_basis, qr_upper, volume
 from .polytope import (
     Polygon2D,
     box_halfspaces,
@@ -109,19 +109,12 @@ def pe_closed_form(rb):
 
 def _voronoi_halfplanes(R):
     """Bisector halfplanes of all lattice vectors within twice the covering bound."""
-    d = np.diag(R)
-    radius = float(np.linalg.norm(d)) + 1e-9  # 2 * (half box diagonal) bounds 2 * covering radius
-    Rinv = np.linalg.inv(R)
-    K = np.ceil(np.linalg.norm(Rinv, axis=1) * radius + 1e-9)
-    axes = [np.arange(-int(k), int(k) + 1) for k in K]
-    grids = np.meshgrid(*axes, indexing="ij")
-    U = np.stack([g.ravel() for g in grids], axis=1)
-    U = U[np.any(U != 0, axis=1)]
-    W = U @ R.T
+    radius = float(np.linalg.norm(np.diag(R))) + 1e-9  # 2 * (half box diagonal) bounds 2 * covering radius
+    U = _certified_box(np.linalg.inv(R), radius)
+    W = U[np.any(U != 0, axis=1)] @ R.T
     norms2 = np.einsum("ij,ij->i", W, W)
     keep = norms2 <= radius * radius + 1e-9
-    W, norms2 = W[keep], norms2[keep]
-    return W, 0.5 * norms2
+    return W[keep], 0.5 * norms2[keep]
 
 
 def pe_geometric_2d(V):

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import UnsupportedDimensionError, _integer_box, _volume, as_basis, qr_upper
+from .core import UnsupportedDimensionError, _certified_box, _volume, as_basis, qr_upper
 from .polytope import (
     VERTEX_TOL,
     assemble_polytopes,
@@ -27,14 +27,7 @@ from .polytope import (
     polytope_from_halfspaces,
     solve_triples,
 )
-from .reduction import (
-    OBTUSE_TOL,
-    ConormSet,
-    Superbase,
-    conorms,
-    is_minkowski_reduced,
-    to_obtuse_superbase,
-)
+from .reduction import ConormSet, Superbase, conorms, to_obtuse_superbase
 
 
 class CellType(Enum):
@@ -253,6 +246,13 @@ def random_reduced_superbase(rng_seed=None, rng_range=(-4.0, 4.0), max_attempts=
     size is part of that contract, since another batch size hands different
     draws to each entry and so changes every basis. The conditions on a and c
     alone run first; the rest run only on the ~1/256 of draws that pass them.
+    The batch test is Minkowski reduction and obtuseness with no slack (a11 = 1):
+    a22 >= 1, a33 >= a22; a, c in [-1/2, 0] and 2|a23| <= a22 for the pairs;
+    2(|a12| + |a13| + |a23|) <= 1 + a22 for all sign triples; a23 <= 0,
+    a12 + a22 + a23 >= 0, a13 + a23 + a33 >= 0 (1 + a12 + a13 >= 0 follows)
+    for the Selling parameters; |b e| > 1e-9 for full rank. is_minkowski_reduced
+    and Superbase.is_obtuse allow relative slack, far above the rounding or two
+    by which these Gram entries differ from V^T V, so every basis passes both.
     """
     rng = np.random.default_rng(rng_seed)
     lo, hi = rng_range
@@ -277,10 +277,10 @@ def random_reduced_superbase(rng_seed=None, rng_range=(-4.0, 4.0), max_attempts=
             & (a13 + a23 + a33 >= 0.0)
             & (np.abs(bi * ei) > 1e-9)  # guard against numerically flat samples
         )
-        for i in idx[ok]:
+        if ok.any():
+            i = idx[ok][0]
             V = np.array([[1.0, a[i], c[i]], [0.0, b[i], d[i]], [0.0, 0.0, e[i]]])
-            if is_minkowski_reduced(V.T @ V) and Superbase.from_basis(V).is_obtuse(OBTUSE_TOL):
-                return V, attempts + int(i) + 1
+            return V, attempts + int(i) + 1
         attempts += m
     raise RuntimeError(f"no reduced obtuse basis found in {max_attempts} attempts")
 
@@ -369,8 +369,7 @@ def mc_pe_oracle(basis, samples, seed=None):
     _, R = qr_upper(V)
     h = 0.5 * np.diag(R)
     radius = 2.0 * float(np.linalg.norm(h)) + 1e-9
-    K = np.ceil(np.linalg.norm(np.linalg.inv(R), axis=1) * radius + 1e-9)
-    U = _integer_box(K)
+    U = _certified_box(np.linalg.inv(R), radius)
     # the box lists -u in mirror position to u, so the rows after its
     # central zero hold one vector of each pair
     P = U[len(U) // 2 + 1 :] @ R.T

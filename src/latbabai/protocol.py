@@ -20,8 +20,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .babai import checked_int64, nearest_plane
-from .core import as_basis, qr_upper, round_half_up
+from .babai import nearest_plane
+from .core import as_basis, checked_int64, qr_upper, round_half_up
 
 
 class IrrationalRatioError(ValueError):
@@ -308,10 +308,12 @@ def centralized_total_rate(
         rng = np.random.default_rng(seed)
         Rs = alpha * R
         X = np.column_stack([src.sample(rng, samples) for src in sources])
-        bits = sum(
-            _plugin_entropy_bits(node_encode(m, X[:, m], Rs, profile).b_tilde[:, None])
-            for m in range(n)
-        )
+        bits = 0.0
+        for m in range(n):
+            # node_encode's rounded coefficient, without the unused side information
+            t = X[:, m] / Rs[m, m]
+            b_m = checked_int64(round_half_up(t), t, "centralized_total_rate")
+            bits += _plugin_entropy_bits(b_m[:, None])
         empirical = bits + side
     return TotalRateReport(bound_bits=float(bound), empirical_bits=empirical, side_info_bits=float(side))
 

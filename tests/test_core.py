@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from latbabai.babai import babai_point
 
 from latbabai.core import (
-    EnumerationWindowWarning,
     RankDeficiencyError,
     UnsupportedDimensionError,
     as_basis,
@@ -19,7 +22,7 @@ from latbabai.core import (
     unit_volume_normalize,
     volume,
 )
-from latbabai.lattices import BCC_UNIT, FCC, HEXAGONAL_2D, HEXAGONAL_PRISM
+from latbabai.lattices import BCC, BCC_UNIT, CUBIC_3D, FCC, HEXA_RHOMBIC, HEXAGONAL_2D, HEXAGONAL_PRISM
 
 
 def test_round_half_up_ties_go_up():
@@ -114,12 +117,74 @@ def test_cvp_bruteforce_beats_random_candidates():
             assert d <= np.linalg.norm(x - V @ u) + 1e-12
 
 
-def test_cvp_bruteforce_window_warning_on_skewed_basis():
-    # rounding V^-1 x is a poor center for a far-from-reduced basis, so the
-    # enumeration box clips and the minimizer lands on its edge
-    V = np.array([[1.0, 100.0], [0.0, 1.0]])
-    with pytest.warns(EnumerationWindowWarning):
-        cvp_bruteforce(V, np.array([0.5, 0.49]), window=3)
+def test_enumeration_refuses_large_dimensions_and_non_finite_targets():
+    with pytest.raises(UnsupportedDimensionError):
+        shortest_vector(np.eye(5))
+    with pytest.raises(UnsupportedDimensionError):
+        cvp_bruteforce(np.eye(5), np.zeros(5))
+    for bad in ([np.nan, 0.0], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            cvp_bruteforce(HEXAGONAL_2D, np.array(bad))
+    with pytest.raises(OverflowError):
+        cvp_bruteforce(np.eye(2), np.array([1e19, 0.3]))
+
+
+@pytest.mark.parametrize("skew", [40.0, 100.0])
+def test_cvp_bruteforce_is_exact_on_skewed_bases(skew):
+    # {(1,0), (skew,1)} spans Z^2, whose covering radius is sqrt(2)/2 < 1, so
+    # every closest point lies within distance 1 of x: |u_i - y_i| <= ||row_i(V^-1)||
+    V = np.array([[1.0, skew], [0.0, 1.0]])
+    Vinv = np.linalg.inv(V)
+    reach = np.ceil(np.linalg.norm(Vinv, axis=1)) + 1
+    rng = np.random.default_rng(1)
+    for x in rng.uniform(-3, 3, size=(300, 2)) @ V.T:
+        y = np.rint(Vinv @ x)
+        U = np.stack(np.meshgrid(*[np.arange(c - k, c + k + 1) for c, k in zip(y, reach)]), -1).reshape(-1, 2)
+        d_ref = np.linalg.norm(U @ V.T - x, axis=1).min()
+        d = np.linalg.norm(x - cvp_bruteforce(V, x).point)
+        assert d == pytest.approx(d_ref, abs=1e-12)
+        assert d <= np.linalg.norm(x - babai_point(V, x).point) + 1e-12
+
+
+EXEMPLARS = [HEXAGONAL_2D, CUBIC_3D, HEXA_RHOMBIC, HEXAGONAL_PRISM, BCC, BCC_UNIT, FCC]
+
+
+@st.composite
+def unimodular(draw, n):
+    """A product of at most three elementary column operations c_j += k c_i, |k| <= 2."""
+    U = np.eye(n, dtype=int)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        U[:, j] += draw(st.integers(-2, 2)) * U[:, i]
+    return U
+
+
+@st.composite
+def basis_and_target(draw):
+    V = EXEMPLARS[draw(st.integers(0, len(EXEMPLARS) - 1))]
+    n = V.shape[0]
+    x = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    return V, draw(unimodular(n)), V @ x
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=basis_and_target())
+def test_cvp_bruteforce_never_farther_than_babai(case):
+    V, U, x = case
+    W = V @ U
+    d = np.linalg.norm(x - cvp_bruteforce(W, x).point)
+    assert d <= np.linalg.norm(x - babai_point(W, x).point) + 1e-12
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=basis_and_target())
+def test_cvp_and_shortest_vector_are_basis_invariant(case):
+    V, U, x = case
+    W = V @ U
+    assert np.linalg.norm(x - cvp_bruteforce(W, x).point) == pytest.approx(
+        np.linalg.norm(x - cvp_bruteforce(V, x).point), abs=1e-12
+    )
+    assert shortest_vector(W).norm == pytest.approx(shortest_vector(V).norm, abs=1e-12)
 
 
 def test_as_basis_rank_test_is_scale_free():

@@ -17,6 +17,7 @@ import pytest
 
 from latbabai.core import packing_density
 from latbabai.error3d import _reduced_basis_density, random_reduced_superbase
+from latbabai.reduction import OBTUSE_TOL, Superbase, is_minkowski_reduced
 
 BATCH = 8192
 # seed -> (attempts, float.hex of V row by row), with the default max_attempts
@@ -88,6 +89,15 @@ def test_sampler_stream_with_a_short_last_batch(seed, max_attempts):
     # batch, which hands different draws to each entry than a full batch
     assert max_attempts % BATCH
     assert dump(seed, max_attempts) == SHORT[(seed, max_attempts)]
+
+
+@pytest.mark.parametrize("seed, max_attempts", [(s, 10**6) for s in sorted(PINNED)] + sorted(SHORT))
+def test_sampled_basis_is_reduced_and_obtuse(seed, max_attempts):
+    # the sampler's batch test is exact, so the package's own (slacker)
+    # predicates accept every basis it returns
+    V, _ = random_reduced_superbase(rng_seed=seed, max_attempts=max_attempts)
+    assert is_minkowski_reduced(V.T @ V)
+    assert Superbase.from_basis(V).is_obtuse(OBTUSE_TOL)
 
 
 def test_sampler_raises_when_max_attempts_runs_out():
