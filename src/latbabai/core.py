@@ -6,6 +6,7 @@ Everything here works on plain numpy arrays.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,11 @@ class RankDeficiencyError(ValueError):
 
 class UnsupportedDimensionError(ValueError):
     """Operation is only implemented for small dimensions."""
+
+
+class EnumerationTooLargeError(ValueError):
+    """A certified enumeration box holds more than MAX_BOX_ROWS points; the
+    box grows with the skew of the basis, so reduce the basis first."""
 
 
 class EnumerationWindowWarning(UserWarning):
@@ -146,19 +152,32 @@ def unit_volume_normalize(V):
     return V / volume(V) ** (1.0 / V.shape[0])
 
 
+# points in the largest certified box: 2**20 rows of n = 4 int64 coefficients
+# take 32 MB, while the decode lattices' boxes hold at most 8 points
+MAX_BOX_ROWS = 2**20
+
+
 def _certified_box(Vinv, r, y=0.0):
     """Every integer u with |u_i - y_i| <= r ||row_i(V^-1)|| (plus 1e-9 for rounding).
 
     It holds every lattice point V u within r of x = V y, since u - y =
     V^-1 (V u - x) (Fincke & Pohst, Math. Comp. 44, 1985). Rows come in
     lexicographic order, so about y = 0 the row of -u mirrors that of u.
+    The box is counted before it is built; above MAX_BOX_ROWS points
+    EnumerationTooLargeError is raised.
     """
     if len(Vinv) > 4:
         raise UnsupportedDimensionError("lattice enumeration covers only n <= 4")
     half = np.linalg.norm(Vinv, axis=1) * r + 1e-9
-    lo = np.ceil(y - half).astype(np.int64)
-    hi = np.floor(y + half).astype(np.int64)
-    return np.indices(hi - lo + 1).reshape(len(lo), -1).T + lo
+    lo = np.ceil(y - half)
+    widths = (np.floor(y + half) - lo + 1).tolist()
+    rows = math.prod(widths)
+    if not rows <= MAX_BOX_ROWS:
+        raise EnumerationTooLargeError(
+            f"certified enumeration box of {rows:.4g} points ({' x '.join(f'{w:.0f}' for w in widths)}) "
+            f"exceeds {MAX_BOX_ROWS}; reduce the basis first (e.g. Lagrange-Gauss or Selling reduction)"
+        )
+    return np.indices([int(w) for w in widths]).reshape(len(lo), -1).T + lo.astype(np.int64)
 
 
 def _nearest_in_box(V, U, x):
@@ -213,6 +232,7 @@ def cvp_bruteforce(V, x):
     of radius r = |x - V b| around V^-1 x (Agrell, Eriksson, Vardy & Zeger,
     IEEE Trans. IT 48(8), 2002); r is padded by a relative 1e-9 to keep ties
     inside. Ties go to the lexicographically smallest coefficient vector.
+    A box of more than MAX_BOX_ROWS points raises EnumerationTooLargeError.
     """
     return _cvp(as_basis(V), np.asarray(x, dtype=float))
 

@@ -21,9 +21,11 @@ from .core import UnsupportedDimensionError, _certified_box, _volume, as_basis, 
 from .polytope import (
     VERTEX_TOL,
     assemble_polytopes,
+    compact_rows,
     distinct_planes,
     first_copies,
     normalize_halfspaces,
+    plane_slack,
     polytope_from_halfspaces,
     solve_triples,
 )
@@ -139,6 +141,7 @@ class Pe3DResult(NamedTuple):
 
 # orderings whose P_e lies within this of the minimum count as tied
 ORDERING_TIE_TOL = 1e-14
+ORDERINGS = tuple(permutations(range(3)))
 _SUM_COEFFS = np.array(
     [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1]], dtype=float
 )
@@ -150,65 +153,101 @@ def _triple_tables():
 
     Box plane 14 + m bounds +(M P^T u)_m and 17 + m bounds -(M P^T u)_m, so
     two box planes are parallel exactly when their indices agree mod 3.
-    Returns the cell triples, the box edges (non-parallel box pairs) and the
-    box corners.
+    Returns the cell triples, and the box-stage triples that do not depend
+    on the cell: each cell plane with each box edge (non-parallel box pair),
+    then the box corners.
     """
     cell = np.array(list(combinations(range(14), 3)))
     edges = np.array([(14 + a, 14 + b) for a, b in combinations(range(6), 2) if a % 3 != b % 3])
     corners = np.array([(14 + a, 15 + b, 16 + c) for a in (0, 3) for b in (0, 3) for c in (0, 3)])
-    for table in (cell, edges, corners):
+    fixed = np.vstack([
+        np.column_stack([np.repeat(np.arange(14), len(edges)), np.tile(edges, (14, 1))]),
+        corners,
+    ])
+    for table in (cell, fixed):
         table.flags.writeable = False  # shared by every call through the cache
-    return cell, edges, corners
+    return cell, fixed
 
 
 def _pe_orderings(A, signs, orders):
-    """P_e of each column ordering from the Gram matrix A, in coefficients u (x = V u).
+    """P_e (L, k) of each column ordering of a stack of L Gram matrices A (L, 3, 3),
+    in coefficients u (x = V u), given the obtuse superbase signs (L, 3).
 
     The 14 cell planes (A k).u <= k^T A k / 2 run over the superbase sums k
     with the obtuse signs; ordering p adds the box |(M P^T u)_m| <= 1/2 with
     M = L^T / diag(L), L = cholesky(A[p][:, p]). Cell and box both have
-    volume 1 in u, so P_e = 1 - vol_u(cell & box).
+    volume 1 in u, so P_e = 1 - vol_u(cell & box). The L·k polytopes share
+    one engine pass, and each lattice's values are those of a stack of one.
     """
-    cell_triples, box_edges, box_corners = _triple_tables()
-    K = np.vstack([_SUM_COEFFS, -_SUM_COEFFS]) * signs
+    cell_triples, fixed_triples = _triple_tables()
+    n = len(A)
+    K = np.vstack([_SUM_COEFFS, -_SUM_COEFFS]) * signs[:, None, :]
     AK = K @ A
-    Nc, cc = normalize_halfspaces(AK, 0.5 * np.einsum("ij,ij->i", AK, K))
+    Nc, cc = normalize_halfspaces(AK, 0.5 * np.einsum("lij,lij->li", AK, K))
     # cell vertices are shared by all orderings. A vertex on two cell planes
     # and one box plane lies on a cell edge or is a cell vertex, so only pairs
     # of cell planes through a common cell vertex need solving with box planes
-    Xc, ok = solve_triples(Nc[cell_triples], cc[cell_triples])
-    slack = cc - Xc @ Nc.T
-    ok &= (slack >= -VERTEX_TOL).all(axis=1)
-    Xc, slack = Xc[ok], slack[ok]
-    first = first_copies(Xc, VERTEX_TOL)
-    Xc, slack = Xc[first], slack[first]
-    touch = (np.abs(slack) <= VERTEX_TOL).astype(float)
-    pairs = np.argwhere(np.triu(touch.T @ touch, 1) > 0)
+    Xc, ok = solve_triples(Nc, cc, np.broadcast_to(cell_triples, (n,) + cell_triples.shape))
+    slack = plane_slack(Nc, cc, Xc)
+    ok &= (slack >= -VERTEX_TOL).all(axis=-1)
+    ok, Xc, slack = compact_rows(ok, Xc, slack)
+    ok &= first_copies(Xc, VERTEX_TOL)
+    touch = (ok[..., None] & (np.abs(slack) <= VERTEX_TOL)).astype(float)
+    adjacent = np.triu(touch.transpose(0, 2, 1) @ touch, 1).reshape(n, -1) > 0
+    # each lattice's pairs in row-major order, padded with masked pairs, and
+    # each pair with each of the 6 box planes
+    live, flat = compact_rows(adjacent, np.broadcast_to(np.arange(14 * 14), adjacent.shape))
+    pairs = np.repeat(np.stack(np.divmod(flat, 14), axis=-1), 6, axis=1)
+    box = np.broadcast_to(np.tile(np.arange(14, 20), flat.shape[1])[:, None], pairs.shape[:2] + (1,))
+    triples = np.concatenate([
+        np.concatenate([pairs, box], axis=-1),
+        np.broadcast_to(fixed_triples, (n,) + fixed_triples.shape),
+    ], axis=1)
+    solvable = np.hstack([np.repeat(live, 6, axis=1), np.ones((n, len(fixed_triples)), dtype=bool)])
 
     P = np.array(orders)
     k = len(P)
-    L = np.linalg.cholesky(A[P[:, :, None], P[:, None, :]])
-    M = L.transpose(0, 2, 1) / np.diagonal(L, axis1=1, axis2=2)[..., None]
-    Nb = np.zeros((k, 3, 3))
-    np.put_along_axis(Nb, np.broadcast_to(P[:, None, :], (k, 3, 3)), M, axis=2)
-    Nb, cb = normalize_halfspaces(np.concatenate([Nb, -Nb], axis=1), np.full((k, 6), 0.5))
-    N = np.concatenate([np.broadcast_to(Nc, (k, 14, 3)), Nb], axis=1)
-    c = np.hstack([np.broadcast_to(cc, (k, 14)), cb])
+    L = np.linalg.cholesky(A[:, P[:, :, None], P[:, None, :]])
+    M = L.swapaxes(-1, -2) / np.diagonal(L, axis1=-2, axis2=-1)[..., None]
+    Nb = np.zeros((n, k, 3, 3))
+    np.put_along_axis(Nb, np.broadcast_to(P[:, None, :], Nb.shape), M, axis=-1)
+    Nb, cb = normalize_halfspaces(np.concatenate([Nb, -Nb], axis=-2), np.full((n, k, 6), 0.5))
+    # polytope l * k + o is lattice l in ordering o
+    N = np.concatenate([np.broadcast_to(Nc[:, None], (n, k, 14, 3)), Nb], axis=-2).reshape(-1, 20, 3)
+    c = np.concatenate([np.broadcast_to(cc[:, None], (n, k, 14)), cb], axis=-1).reshape(-1, 20)
     # a box plane within GEOM_TOL of a cell plane is that plane: exactly for
     # the first box row, and at a conorm below GEOM_TOL, where dropping it
     # moves P_e by about the conorm
     keep = distinct_planes(N, c)
-    triples = np.vstack([
-        np.column_stack([np.repeat(pairs, 6, axis=0), np.tile(np.arange(14, 20), len(pairs))]),
-        np.column_stack([np.repeat(np.arange(14), len(box_edges)), np.tile(box_edges, (14, 1))]),
-        box_corners,
-    ])
-    Xm, okm = solve_triples(N[:, triples], c[:, triples])
-    okm &= keep[:, triples].all(axis=-1)
-    X = np.concatenate([np.broadcast_to(Xc, (k,) + Xc.shape), Xm], axis=1)
-    ok = np.hstack([np.ones((k, len(Xc)), dtype=bool), okm])
-    vol = assemble_polytopes(N, c, keep, X, ok).volume
+    triples = np.repeat(triples, k, axis=0)
+    Xm, okm = solve_triples(N, c, triples)
+    okm &= np.repeat(solvable, k, axis=0)
+    okm &= keep[np.arange(n * k)[:, None, None], triples].all(axis=-1)
+    X = np.concatenate([np.repeat(Xc, k, axis=0), Xm], axis=1)
+    ok = np.hstack([np.repeat(ok, k, axis=0), okm])
+    vol = assemble_polytopes(N, c, keep, X, ok).volume.reshape(n, k)
     return np.clip(1.0 - vol, 0.0, 1.0)
+
+
+def _pe_stack(bases, orders):
+    """P_e (L, k) of L 3x3 generators in each column ordering, in one kernel pass.
+
+    Each V is scaled so that its first column has norm 1, and its obtuse
+    superbase gives the signs of the cell planes.
+    """
+    A, signs = [], []
+    for V in bases:
+        V = V / np.linalg.norm(V[:, 0])
+        sb = to_obtuse_superbase(V)
+        signs.append(np.where(np.einsum("ij,ji->i", sb.vectors[1:], V) < 0.0, -1.0, 1.0))
+        G = V.T @ V
+        A.append(0.5 * (G + G.T))
+    return _pe_orderings(np.array(A), np.array(signs), orders)
+
+
+def _best_ordering(pes):
+    """Index of the first ordering within ORDERING_TIE_TOL of the minimum."""
+    return int(np.argmax(pes <= pes.min() + ORDERING_TIE_TOL))
 
 
 def pe_3d(basis, search_orderings=True):
@@ -218,21 +257,17 @@ def pe_3d(basis, search_orderings=True):
     every ordering shares one Voronoi cell: the obtuse superbase is found
     once (on V scaled so its first column has norm 1), and each ordering adds
     its Babai box. P_e = 1 - vol_u(cell & box), computed for all orderings in
-    one vectorized pass. Returns the minimum, the ordering achieving it (the
-    lexicographically first of those within ORDERING_TIE_TOL of the minimum),
-    and the full per-ordering table.
+    one vectorized pass (a stack of one lattice). Returns the minimum, the
+    ordering achieving it (the lexicographically first of those within
+    ORDERING_TIE_TOL of the minimum), and the full per-ordering table.
     """
     V = as_basis(basis)
     if V.shape[0] != 3:
         raise UnsupportedDimensionError("pe_3d needs a 3x3 generator")
-    V = V / np.linalg.norm(V[:, 0])
-    sb = to_obtuse_superbase(V)
-    signs = np.where(np.einsum("ij,ji->i", sb.vectors[1:], V) < 0.0, -1.0, 1.0)
-    A = V.T @ V
-    orders = tuple(permutations(range(3))) if search_orderings else ((0, 1, 2),)
-    pes = _pe_orderings(0.5 * (A + A.T), signs, orders)
+    orders = ORDERINGS if search_orderings else ((0, 1, 2),)
+    pes = _pe_stack([V], orders)[0]
     per = {perm: float(pe) for perm, pe in zip(orders, pes)}
-    best = orders[int(np.argmax(pes <= pes.min() + ORDERING_TIE_TOL))]
+    best = orders[_best_ordering(pes)]
     return Pe3DResult(per[best], best, per)
 
 
@@ -301,20 +336,41 @@ def _reduced_basis_density(V):
     return np.pi / 6.0 / _volume(V)
 
 
-def _scan_one(trial_seed, density_floor):
+# sampled lattices per pe_3d kernel pass in scan_random. A stack shares the
+# kernel's per-call cost: stacks of 1 to 6 took about 4.1, 3.7, 3.2, 2.9, 3.3
+# and 3.0 ms per lattice (medians over 300 bases, 2-core machine), while the
+# kernel's traced peak grows by 0.6 MB per lattice (1.9 MB at 3); past 3 the
+# time gained is small against the memory added
+SCAN_STACK = 3
+
+
+def _scan_sample(trial_seed, density_floor):
+    """(seed, basis, density) of one trial, or None below the density floor."""
     V, _ = random_reduced_superbase(trial_seed)
     dens = _reduced_basis_density(V)
-    if dens < density_floor:
-        return None
-    sb = Superbase.from_basis(V)
-    record = ScanRecord(
-        selling=tuple(float(x) for x in sb.selling_pairs()),
-        density=float(dens),
-        pe=float(pe_3d(V, search_orderings=True).pe),
-        cell_type=classify_cell(conorms(sb)),
-        seed=int(trial_seed),
-    )
-    return record
+    return None if dens < density_floor else (int(trial_seed), V, dens)
+
+
+def _scan_records(samples):
+    """Scan records of a stack of samples, through one pe_3d kernel pass."""
+    pes = _pe_stack([V for _, V, _ in samples], ORDERINGS)
+    records = []
+    for (seed, V, dens), pe in zip(samples, pes):
+        sb = Superbase.from_basis(V)
+        records.append(ScanRecord(
+            selling=tuple(float(x) for x in sb.selling_pairs()),
+            density=float(dens),
+            pe=float(pe[_best_ordering(pe)]),
+            cell_type=classify_cell(conorms(sb)),
+            seed=seed,
+        ))
+    return records
+
+
+def _scan_one(trial_seed, density_floor):
+    """The record of one trial, or None below the density floor."""
+    sample = _scan_sample(trial_seed, density_floor)
+    return None if sample is None else _scan_records([sample])[0]
 
 
 def scan_random(trials, density_floor=0.4, seed=None):
@@ -322,13 +378,22 @@ def scan_random(trials, density_floor=0.4, seed=None):
     record Selling parameters, density, cell type and minimal P_e.
 
     Each trial gets its own seed split from the master seed, so any record can
-    be regenerated alone from its seed.
+    be regenerated alone from its seed. Trials run in order; those that pass
+    the floor go through the P_e kernel SCAN_STACK at a time, and the records
+    come out in trial order.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     trial_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(trials)]
-    results = [_scan_one(s, density_floor) for s in trial_seeds]
-    return [r for r in results if r is not None]
+    records, stack = [], []
+    for s in trial_seeds:
+        sample = _scan_sample(s, density_floor)
+        if sample is not None:
+            stack.append(sample)
+        if len(stack) == SCAN_STACK:
+            records += _scan_records(stack)
+            stack = []
+    return records + (_scan_records(stack) if stack else [])
 
 
 def summarize_scan(records):

@@ -4,16 +4,18 @@ Regions are {x : N x <= c} with unit row normals N. In 3D one engine builds
 every polytope, for `polytope_from_halfspaces` and for `error3d.pe_3d`, and
 it works on stacks of polytopes at once:
 
-- `solve_triples` finds the vertex of each triple of planes by Cramer's rule
-  on the cofactors, then takes one refinement step on the residual with the
-  same cofactors; triples with |det| <= 1e-10 are masked as singular;
+- `solve_triples` finds the vertex of each triple of planes, named by an
+  index table into each polytope's plane list, by Cramer's rule on the
+  cofactors, then takes one refinement step on the residual with the same
+  cofactors; triples with |det| <= 1e-10 are masked as singular;
 - `first_copies` keeps the first of any rows (points, or planes as rows
   (n, c)) that agree within a tolerance in every coordinate;
+- `compact_rows` moves the marked entries of each row to the front;
 - `assemble_polytopes` keeps the candidates that satisfy every plane within
-  VERTEX_TOL, merges those within VERTEX_TOL in every coordinate, sorts each
-  plane's vertices (those within VERTEX_TOL of it) by angle about their
-  centroid, which gives the facet cycles, and sums the volume as
-  sum_f c_f area_f / 3.
+  VERTEX_TOL (tested a few polytopes at a time), merges those within
+  VERTEX_TOL in every coordinate, sorts each plane's vertices (those within
+  VERTEX_TOL of it) by angle about their centroid, which gives the facet
+  cycles, and sums the volume as sum_f c_f area_f / 3.
 
 The tolerance is absolute, so `polytope_from_halfspaces` scales the
 offsets to max |c| = 1 before it calls the engine and gives the same answer
@@ -36,19 +38,24 @@ GEOM_TOL = 1e-9
 # a vertex solved from nearly parallel planes (about 1e-13 apart on a cell
 # 1000 times longer than wide)
 VERTEX_TOL = 1e-12
+# polytopes per feasibility test: a slice's slack array is (slice, candidates,
+# planes), while only the compacted feasible rows (at most 32 of about 416 in
+# pe_3d) need slack after it
+FEASIBILITY_SLICE = 4
 
 
 def normalize_halfspaces(normals, offsets):
     """Scale each constraint n.x <= c so that ||n|| = 1 (normals on the last axis).
 
     A normal within rounding (machine epsilon) of zero, relative to the
-    longest one, counts as zero; pe_3d's planes (A k) in the coefficient
-    frame span the square of the basis's aspect ratio.
+    longest one of its list (the second-to-last axis), counts as zero; pe_3d's
+    planes (A k) in the coefficient frame span the square of the basis's
+    aspect ratio.
     """
     N = np.asarray(normals, dtype=float)
     c = np.asarray(offsets, dtype=float)
     lens = np.linalg.norm(N, axis=-1)
-    if np.any(lens <= np.finfo(float).eps * lens.max(initial=0.0)):
+    if np.any(lens <= np.finfo(float).eps * lens.max(axis=-1, keepdims=True, initial=0.0)):
         raise ValueError("zero normal in halfspace list")
     return N / lens[..., None], c / lens
 
@@ -127,21 +134,40 @@ def polygon_from_vertices(vertices):
     return _counterclockwise(pts[first_copies(pts, GEOM_TOL)])
 
 
-def solve_triples(N, c):
-    """Vertices of plane triples n_i.x = c_i (rows of N[..., i, :]) and a solvable mask.
+def solve_triples(N, c, triples):
+    """Vertices of plane triples and a solvable mask, for a stack of plane lists.
 
-    Cramer's rule on the cofactors n_1 x n_2 etc., then one refinement step on
-    the residual with the same cofactors. Near-singular triples are masked.
+    N (B, P, 3) and c (B, P) hold the planes n.x = c of polytope b; row
+    triples[b, t] names the three planes whose vertex is x[b, t]. Cramer's
+    rule on the cofactors n_1 x n_2 etc., then one refinement step on the
+    residual with the same cofactors. Near-singular triples are masked.
+    The plane rows are gathered here, one plane at a time, and dropped once
+    the residual is known, so no (B, T, 3, 3) stack of normals is built.
     """
-    n0, n1, n2 = N[..., 0, :], N[..., 1, :], N[..., 2, :]
-    C = np.stack([np.cross(n1, n2), np.cross(n2, n0), np.cross(n0, n1)], axis=-2)
-    det = np.einsum("...d,...d->...", n0, C[..., 0, :])
+    b = np.arange(len(N))[:, None]
+    n0, n1, n2 = (N[b, triples[..., j]] for j in range(3))
+    C0, C1, C2 = np.cross(n1, n2), np.cross(n2, n0), np.cross(n0, n1)
+    det = np.einsum("...d,...d->...", n0, C0)
     ok = np.abs(det) > 1e-10
     det = np.where(ok, det, 1.0)[..., None]
-    x = np.einsum("...i,...id->...d", c, C) / det
-    r = c - np.einsum("...id,...d->...i", N, x)
-    x += np.einsum("...i,...id->...d", r, C) / det
+    c0, c1, c2 = (c[b, triples[..., j]] for j in range(3))
+    x = _combine(c0, c1, c2, C0, C1, C2, det)
+    # the residuals c_j - n_j.x overwrite the gathered offsets
+    c0 -= np.einsum("...d,...d->...", n0, x)
+    c1 -= np.einsum("...d,...d->...", n1, x)
+    c2 -= np.einsum("...d,...d->...", n2, x)
+    del n0, n1, n2
+    x += _combine(c0, c1, c2, C0, C1, C2, det)
     return x, ok
+
+
+def _combine(w0, w1, w2, C0, C1, C2, det):
+    """(w0 C0 + w1 C1 + w2 C2) / det, accumulated in place."""
+    out = w0[..., None] * C0
+    out += w1[..., None] * C1
+    out += w2[..., None] * C2
+    out /= det
+    return out
 
 
 class Assembly(NamedTuple):
@@ -159,6 +185,21 @@ class Assembly(NamedTuple):
     volume: np.ndarray
 
 
+def plane_slack(N, c, X):
+    """Slack c_p - n_p.x of every point x in X[o] at every plane p of polytope o."""
+    slack = X @ N.transpose(0, 2, 1)
+    return np.subtract(c[:, None, :], slack, out=slack)
+
+
+def compact_rows(mask, *arrays):
+    """Move the True entries of each row of mask (B, n) to the front, in order,
+    padded to the longest row; returns the compacted mask and arrays, each
+    gathered the same way along its axis 1."""
+    idx = np.argsort(~mask, axis=1, kind="stable")[:, : int(mask.sum(axis=1).max(initial=0))]
+    gathered = [np.take_along_axis(a, idx.reshape(idx.shape + (1,) * (a.ndim - 2)), axis=1) for a in arrays]
+    return [np.take_along_axis(mask, idx, axis=1)] + gathered
+
+
 def assemble_polytopes(N, c, keep, X, ok):
     """Vertices, facet cycles and volumes of the polytopes {x : N[o] x <= c[o]}.
 
@@ -166,17 +207,19 @@ def assemble_polytopes(N, c, keep, X, ok):
     count (a duplicate of an earlier plane neither bounds nor carries a
     facet; its twin does). X[o] holds candidate vertices and ok marks those
     that solve a triple. Candidates that satisfy every kept plane within
-    VERTEX_TOL are merged within VERTEX_TOL; each plane's vertices are sorted
-    by angle about their centroid, and the volume is sum_f c_f area_f / 3.
+    VERTEX_TOL (tested FEASIBILITY_SLICE polytopes at a time) are compacted
+    to the front and merged within VERTEX_TOL, and only they get their slack
+    at every plane; each plane's vertices are sorted by angle about their
+    centroid, and the volume is sum_f c_f area_f / 3.
     """
-    slack = X @ N.transpose(0, 2, 1)
-    np.subtract(c[:, None, :], slack, out=slack)
-    feas = ok & ((slack >= -VERTEX_TOL) | ~keep[:, None, :]).all(axis=-1)
-    # compact the feasible candidates to the front, padded to the longest list
-    idx = np.argsort(~feas, axis=1, kind="stable")[:, : int(feas.sum(axis=1).max(initial=0))]
-    X = np.take_along_axis(X, idx[..., None], axis=1)
-    slack = np.take_along_axis(slack, idx[..., None], axis=1)
-    feas = np.take_along_axis(feas, idx, axis=1) & first_copies(X, VERTEX_TOL)
+    feas = np.empty(ok.shape, dtype=bool)
+    for s in range(0, len(X), FEASIBILITY_SLICE):
+        part = slice(s, s + FEASIBILITY_SLICE)
+        slack = plane_slack(N[part], c[part], X[part])
+        feas[part] = ok[part] & ((slack >= -VERTEX_TOL) | ~keep[part, None, :]).all(axis=-1)
+    feas, X = compact_rows(feas, X)
+    slack = plane_slack(N, c, X)
+    feas &= first_copies(X, VERTEX_TOL)
     on = (feas[:, :, None] & (np.abs(slack) <= VERTEX_TOL) & keep[:, None, :]).transpose(0, 2, 1)
     # in-plane coordinates (t1, t2) with t1 x t2 = n, so counterclockwise is positive
     t1 = np.cross(N, np.eye(3)[np.argmin(np.abs(N), axis=-1)])
@@ -284,9 +327,9 @@ def polytope_from_halfspaces(normals, offsets):
     c = c / scale
     distinct = distinct_planes(N, c)
     N, c = N[distinct], c[distinct]
-    idx = np.array(list(combinations(range(len(N)), 3)), dtype=int).reshape(-1, 3)
-    X, ok = solve_triples(N[idx], c[idx])
-    asm = assemble_polytopes(N[None], c[None], np.ones((1, len(N)), dtype=bool), X[None], ok[None])
+    idx = np.array(list(combinations(range(len(N)), 3)), dtype=int).reshape(1, -1, 3)
+    X, ok = solve_triples(N[None], c[None], idx)
+    asm = assemble_polytopes(N[None], c[None], np.ones((1, len(N)), dtype=bool), X, ok)
     is_vertex, sizes = asm.is_vertex[0], asm.sizes[0]
     verts = asm.X[0][is_vertex] * scale
     if len(verts) < 4 or (sizes == len(verts)).any():

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from latbabai.babai import babai_point
 
 from latbabai.core import (
+    MAX_BOX_ROWS,
+    EnumerationTooLargeError,
     RankDeficiencyError,
     UnsupportedDimensionError,
     as_basis,
@@ -144,6 +146,18 @@ def test_cvp_bruteforce_is_exact_on_skewed_bases(skew):
         d = np.linalg.norm(x - cvp_bruteforce(V, x).point)
         assert d == pytest.approx(d_ref, abs=1e-12)
         assert d <= np.linalg.norm(x - babai_point(V, x).point) + 1e-12
+
+
+def test_enumeration_refuses_a_box_over_the_size_cap():
+    # {(1,0), (9e5,1)} spans Z^2, but about x = (1/2, 1/2) its certified box
+    # is 1,272,793 by 2 points; counted before it is built, so this costs
+    # nothing where listing it would take about 41 MB. (A skew of 1e6 is
+    # refused earlier: as_basis calls det <= 1e-12 max|V_ij|^2 rank deficient.)
+    V = np.array([[1.0, 9e5], [0.0, 1.0]])
+    with pytest.raises(EnumerationTooLargeError, match="reduce the basis") as err:
+        cvp_bruteforce(V, np.array([0.5, 0.5]))
+    assert "2.546e+06 points (1272792 x 2)" in str(err.value) and str(MAX_BOX_ROWS) in str(err.value)
+    assert isinstance(err.value, ValueError)
 
 
 EXEMPLARS = [HEXAGONAL_2D, CUBIC_3D, HEXA_RHOMBIC, HEXAGONAL_PRISM, BCC, BCC_UNIT, FCC]

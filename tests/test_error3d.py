@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,8 @@ from hypothesis import strategies as st
 from latbabai.core import UnsupportedDimensionError, as_basis, packing_density, volume
 from latbabai.error3d import (
     ORDERING_TIE_TOL,
+    ORDERINGS,
+    SCAN_STACK,
     CellType,
     FACET_COUNTS,
     classify_cell,
@@ -18,7 +22,7 @@ from latbabai.error3d import (
     voronoi_cell_3d,
     voronoi_vertices_conorm_formula,
 )
-from latbabai.error3d import _scan_one
+from latbabai.error3d import _pe_stack, _scan_one
 from latbabai.lattices import (
     BCC,
     BCC_UNIT,
@@ -38,6 +42,7 @@ from latbabai.reduction import (
     is_minkowski_reduced,
     to_obtuse_superbase,
 )
+from test_pe3d_oracle import NEAR_DEGENERATE, basis_from_conorms
 
 EXEMPLARS = {
     CellType.Cuboid: (CUBIC_3D, 6, 8),
@@ -310,6 +315,47 @@ def test_scan_random_respects_density_floor():
     assert len(loose) == 80
     with pytest.raises(ValueError):
         scan_random(0)
+
+
+def test_pe_kernel_stack_equals_one_lattice_calls():
+    # the cuboid and prism cells have fewer edges than the others, so the
+    # stack pads their lists of cell-edge pairs
+    bases = [as_basis(V) for V in KNOWN_LATTICES.values()]
+    bases += [basis_from_conorms(c) for c in NEAR_DEGENERATE]
+    bases += [random_reduced_superbase(s)[0] for s in range(6)]
+    for V, row in zip(bases, _pe_stack(bases, ORDERINGS)):
+        per = pe_3d(V).per_ordering
+        assert [float(pe).hex() for pe in row] == [per[o].hex() for o in ORDERINGS]
+
+
+@pytest.mark.parametrize(
+    "trials, floor, seed", [(1, 0.0, 1), (2, 0.0, 2), (3, 0.0, 3), (4, 0.0, 4), (7, 0.0, 7), (1000, 0.4, 1)]
+)
+def test_scan_random_stacks_equal_single_trials(trials, floor, seed):
+    # trial counts on both sides of the stack size, and a floor that about
+    # one trial in 300 passes (4 of these 1,000), so stacks gather trials far apart
+    recs = scan_random(trials, density_floor=floor, seed=seed)
+    seeds = np.random.SeedSequence(seed).generate_state(trials)
+    expected = [r for r in (_scan_one(int(s), floor) for s in seeds) if r is not None]
+    assert recs == expected
+    assert len(recs) == trials if floor == 0.0 else len(recs) > SCAN_STACK
+
+
+# traced peak of one kernel pass over SCAN_STACK sampled lattices: 1.877 MB
+# measured (numpy 2.4), plus 25 %. A stack of 4 reaches 2.48 MB.
+KERNEL_PEAK_BYTES = 1.877e6 * 1.25
+
+
+def test_scan_stack_kernel_peak_memory():
+    bases = [random_reduced_superbase(s)[0] for s in range(SCAN_STACK)]
+    _pe_stack(bases, ORDERINGS)  # build the cached triple tables first
+    tracemalloc.start()
+    try:
+        _pe_stack(bases, ORDERINGS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= KERNEL_PEAK_BYTES
 
 
 def test_summarize_scan():

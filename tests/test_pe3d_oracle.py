@@ -17,6 +17,9 @@ Each facet's exact vertices are ordered by their float angle about the
 facet centroid, and the cone over the facet from the origin is summed as an
 exact fan.
 
+The gate holds `pe_3d`, a stack of one lattice, and the same kernel run on
+all the bases at once, to ACCURACY.
+
 `python tests/test_pe3d_oracle.py [SEED ...]` prints the worst distance of
 `pe_3d` from the oracle over the exemplars, the near-degenerate bases and
 the given seeds of `random_reduced_superbase`.
@@ -25,15 +28,15 @@ the given seeds of `random_reduced_superbase`.
 import math
 import sys
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from functools import cache
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
-from latbabai.error3d import pe_3d, random_reduced_superbase
+from latbabai.error3d import ORDERINGS, _pe_stack, pe_3d, random_reduced_superbase
 from latbabai.lattices import KNOWN_LATTICES
 
-ORDERINGS = tuple(permutations(range(3)))
 SCREEN = 1e-6
 ACCURACY = 1e-15
 RANDOM_SEEDS = tuple(range(1000, 1020))
@@ -169,10 +172,28 @@ def exact_pe(V, perm):
     return 1 - exact_volume(exact_planes(exact_gram(V), perm))
 
 
+@cache
+def _exact_row(key):
+    V = np.frombuffer(key).reshape(3, 3)
+    return tuple(float(exact_pe(V, p)) for p in ORDERINGS)
+
+
+def exact_row(V):
+    """The exact P_e of V in each of ORDERINGS, as floats; computed once per basis."""
+    return _exact_row(np.asarray(V, dtype=float).tobytes())
+
+
 def worst_error(V):
     """Largest |pe_3d - exact| over the six orderings of V."""
     per = pe_3d(V).per_ordering
-    return max(abs(per[p] - float(exact_pe(V, p))) for p in ORDERINGS)
+    return max(abs(per[p] - exact) for p, exact in zip(ORDERINGS, exact_row(V)))
+
+
+def oracle_bases(seeds=RANDOM_SEEDS):
+    """(label, basis): the exemplars, the near-degenerate bases and sampled bases."""
+    cases = [(name, np.asarray(V, dtype=float)) for name, V in KNOWN_LATTICES.items()]
+    cases += [(f"conorms {c}", basis_from_conorms(c)) for c in NEAR_DEGENERATE]
+    return cases + [(f"seed {s}", random_reduced_superbase(rng_seed=s)[0]) for s in seeds]
 
 
 def test_oracle_reproduces_the_known_exemplar_values():
@@ -202,10 +223,17 @@ def test_pe_3d_matches_oracle_near_zero_conorms(con):
     assert worst_error(basis_from_conorms(con)) <= ACCURACY
 
 
+def test_stacked_kernel_matches_oracle():
+    # every basis above in one kernel pass, which pads the shorter lists of
+    # cell-edge pairs of the cuboid and prism cells
+    bases = [V for _, V in oracle_bases()]
+    pes = _pe_stack(bases, ORDERINGS)
+    worst = max(abs(pe - exact) for V, row in zip(bases, pes) for pe, exact in zip(row, exact_row(V)))
+    assert worst <= ACCURACY
+
+
 if __name__ == "__main__":
     seeds = [int(s) for s in sys.argv[1:]] or list(RANDOM_SEEDS)
-    cases = [(name, V) for name, V in KNOWN_LATTICES.items()]
-    cases += [(f"conorms {c}", basis_from_conorms(c)) for c in NEAR_DEGENERATE]
-    cases += [(f"seed {s}", random_reduced_superbase(rng_seed=s)[0]) for s in seeds]
+    cases = oracle_bases(seeds)
     worst = max((worst_error(V), label) for label, V in cases)
     print(f"worst |pe_3d - exact| = {worst[0]:.3g} ({worst[1]}) over {len(cases)} lattices")

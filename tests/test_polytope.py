@@ -15,6 +15,12 @@ from latbabai.polytope import (
 def test_normalize_rejects_zero_normal():
     with pytest.raises(ValueError):
         normalize_halfspaces([[0.0, 0.0]], [1.0])
+    # a stack of plane lists: each normal is tested against its own list
+    short = [[1e-10, 0.0], [0.0, 1e-10]]
+    N, c = normalize_halfspaces([short, [[1e7, 0.0], [0.0, 1.0]]], [[1.0, 1.0], [1.0, 1.0]])
+    assert np.allclose(np.linalg.norm(N, axis=-1), 1.0) and c[0, 0] == pytest.approx(1e10)
+    with pytest.raises(ValueError):
+        normalize_halfspaces([short, [[1e-30, 0.0], [0.0, 1.0]]], [[1.0, 1.0], [1.0, 1.0]])
 
 
 def test_shoelace_area_triangle_and_square():
