@@ -51,10 +51,10 @@ def as_basis(V):
         raise ValueError(f"generator matrix must be square, got shape {V.shape}")
     if not np.all(np.isfinite(V)):
         raise ValueError("generator matrix entries must be finite")
-    n = V.shape[0]
-    # relative to the largest entry, so the verdict does not depend on units
-    scale = float(np.abs(V).max())
-    if abs(np.linalg.det(V)) <= 1e-12 * scale**n:
+    # Hadamard's bound |det V| <= prod_j |v_j| holds with equality for
+    # orthogonal columns, so the ratio depends on neither units nor skew;
+    # math.hypot neither overflows nor underflows on the way
+    if abs(np.linalg.det(V)) <= 1e-12 * math.prod(map(math.hypot, *V.tolist())):
         raise RankDeficiencyError("generator matrix is rank deficient")
     return V
 

@@ -109,11 +109,13 @@ def pe_closed_form(rb):
 
 def _voronoi_halfplanes(R):
     """Bisector halfplanes of all lattice vectors within twice the covering bound."""
-    radius = float(np.linalg.norm(np.diag(R))) + 1e-9  # 2 * (half box diagonal) bounds 2 * covering radius
+    # 2 * (half box diagonal) bounds 2 * covering radius; both pads are
+    # relative, so the lattice's scale does not change which vectors count
+    radius = float(np.linalg.norm(np.diag(R))) * (1.0 + 1e-9)
     U = _certified_box(np.linalg.inv(R), radius)
     W = U[np.any(U != 0, axis=1)] @ R.T
     norms2 = np.einsum("ij,ij->i", W, W)
-    keep = norms2 <= radius * radius + 1e-9
+    keep = norms2 <= radius * radius * (1.0 + 1e-9)
     return W[keep], 0.5 * norms2[keep]
 
 

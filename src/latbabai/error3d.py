@@ -23,7 +23,6 @@ from .polytope import (
     assemble_polytopes,
     compact_rows,
     distinct_planes,
-    first_copies,
     normalize_halfspaces,
     plane_slack,
     polytope_from_halfspaces,
@@ -147,15 +146,23 @@ _SUM_COEFFS = np.array(
 )
 
 
+# the mirror map: cell plane i + 7 is cell plane i negated (K = [S; -S] signs),
+# and box plane 14 + (m + 3) mod 6 is box plane 14 + m negated
+_MIRROR = np.concatenate([np.arange(7, 14), np.arange(7), np.arange(17, 20), np.arange(14, 17)])
+_MIRROR.flags.writeable = False
+
+
 @cache
 def _triple_tables():
-    """Plane index triples of the 14 cell planes and the 6 box planes (14..19).
+    """Plane index triples of the 14 cell planes and the 6 box planes (14..19),
+    one of each mirror pair.
 
     Box plane 14 + m bounds +(M P^T u)_m and 17 + m bounds -(M P^T u)_m, so
-    two box planes are parallel exactly when their indices agree mod 3.
-    Returns the cell triples, and the box-stage triples that do not depend
-    on the cell: each cell plane with each box edge (non-parallel box pair),
-    then the box corners.
+    two box planes are parallel exactly when their indices agree mod 3. No
+    triple is its own mirror image; of a triple and its image, the one that
+    sorts first is kept. Returns the cell triples (182 of 364), and the
+    box-stage triples that do not depend on the cell (88 of 176): each cell
+    plane with each box edge (non-parallel box pair), then the box corners.
     """
     cell = np.array(list(combinations(range(14), 3)))
     edges = np.array([(14 + a, 14 + b) for a, b in combinations(range(6), 2) if a % 3 != b % 3])
@@ -164,9 +171,11 @@ def _triple_tables():
         np.column_stack([np.repeat(np.arange(14), len(edges)), np.tile(edges, (14, 1))]),
         corners,
     ])
-    for table in (cell, fixed):
+    key = np.array([400, 20, 1])  # plane indices are below 20: keys sort triples lexicographically
+    tables = tuple(t[t @ key < np.sort(_MIRROR[t], axis=1) @ key] for t in (cell, fixed))
+    for table in tables:
         table.flags.writeable = False  # shared by every call through the cache
-    return cell, fixed
+    return tables
 
 
 def _pe_orderings(A, signs, orders):
@@ -178,12 +187,19 @@ def _pe_orderings(A, signs, orders):
     M = L^T / diag(L), L = cholesky(A[p][:, p]). Cell and box both have
     volume 1 in u, so P_e = 1 - vol_u(cell & box). The L·k polytopes share
     one engine pass, and each lattice's values are those of a stack of one.
+
+    Cell and box are centrally symmetric, and their planes come in exact
+    +- pairs (_MIRROR). Negating a triple's three normals, in order, keeps
+    its cofactors and offsets and negates det, so it solves to exactly -x;
+    only one triple of each pair is solved, and assemble_polytopes mirrors
+    the vertices and doubles the volume of one facet of each pair.
     """
     cell_triples, fixed_triples = _triple_tables()
     n = len(A)
-    K = np.vstack([_SUM_COEFFS, -_SUM_COEFFS]) * signs[:, None, :]
+    K = _SUM_COEFFS * signs[:, None, :]
     AK = K @ A
     Nc, cc = normalize_halfspaces(AK, 0.5 * np.einsum("lij,lij->li", AK, K))
+    Nc, cc = np.concatenate([Nc, -Nc], axis=1), np.concatenate([cc, cc], axis=1)
     # cell vertices are shared by all orderings. A vertex on two cell planes
     # and one box plane lies on a cell edge or is a cell vertex, so only pairs
     # of cell planes through a common cell vertex need solving with box planes
@@ -191,19 +207,21 @@ def _pe_orderings(A, signs, orders):
     slack = plane_slack(Nc, cc, Xc)
     ok &= (slack >= -VERTEX_TOL).all(axis=-1)
     ok, Xc, slack = compact_rows(ok, Xc, slack)
-    ok &= first_copies(Xc, VERTEX_TOL)
     touch = (ok[..., None] & (np.abs(slack) <= VERTEX_TOL)).astype(float)
-    adjacent = np.triu(touch.transpose(0, 2, 1) @ touch, 1).reshape(n, -1) > 0
+    adjacent = touch.transpose(0, 2, 1) @ touch > 0
+    # the mirror vertices -x touch the mirror planes
+    adjacent |= adjacent[:, _MIRROR[:14, None], _MIRROR[:14]]
+    adjacent = np.triu(adjacent, 1).reshape(n, -1)
     # each lattice's pairs in row-major order, padded with masked pairs, and
-    # each pair with each of the 6 box planes
+    # each pair with the box planes 14..16 (the mirror triples bring 17..19)
     live, flat = compact_rows(adjacent, np.broadcast_to(np.arange(14 * 14), adjacent.shape))
-    pairs = np.repeat(np.stack(np.divmod(flat, 14), axis=-1), 6, axis=1)
-    box = np.broadcast_to(np.tile(np.arange(14, 20), flat.shape[1])[:, None], pairs.shape[:2] + (1,))
+    pairs = np.repeat(np.stack(np.divmod(flat, 14), axis=-1), 3, axis=1)
+    box = np.broadcast_to(np.tile(np.arange(14, 17), flat.shape[1])[:, None], pairs.shape[:2] + (1,))
     triples = np.concatenate([
         np.concatenate([pairs, box], axis=-1),
         np.broadcast_to(fixed_triples, (n,) + fixed_triples.shape),
     ], axis=1)
-    solvable = np.hstack([np.repeat(live, 6, axis=1), np.ones((n, len(fixed_triples)), dtype=bool)])
+    solvable = np.hstack([np.repeat(live, 3, axis=1), np.ones((n, len(fixed_triples)), dtype=bool)])
 
     P = np.array(orders)
     k = len(P)
@@ -225,7 +243,7 @@ def _pe_orderings(A, signs, orders):
     okm &= keep[np.arange(n * k)[:, None, None], triples].all(axis=-1)
     X = np.concatenate([np.repeat(Xc, k, axis=0), Xm], axis=1)
     ok = np.hstack([np.repeat(ok, k, axis=0), okm])
-    vol = assemble_polytopes(N, c, keep, X, ok).volume.reshape(n, k)
+    vol = assemble_polytopes(N, c, keep, X, ok, mirror=_MIRROR).volume.reshape(n, k)
     return np.clip(1.0 - vol, 0.0, 1.0)
 
 
@@ -337,11 +355,11 @@ def _reduced_basis_density(V):
 
 
 # sampled lattices per pe_3d kernel pass in scan_random. A stack shares the
-# kernel's per-call cost: stacks of 1 to 6 took about 4.1, 3.7, 3.2, 2.9, 3.3
-# and 3.0 ms per lattice (medians over 300 bases, 2-core machine), while the
-# kernel's traced peak grows by 0.6 MB per lattice (1.9 MB at 3); past 3 the
-# time gained is small against the memory added
-SCAN_STACK = 3
+# kernel's per-call cost: stacks of 1 to 6 took about 2.3, 1.8, 1.5, 1.3, 1.2
+# and 1.1 ms per lattice (600 bases, 2-core machine), while the kernel's
+# traced peak grows by 0.3 MB per lattice (1.6 MB at 5), against a peak-memory
+# budget of about 2 MB for the whole scan
+SCAN_STACK = 5
 
 
 def _scan_sample(trial_seed, density_floor):

@@ -15,12 +15,14 @@ it works on stacks of polytopes at once:
   VERTEX_TOL (tested a few polytopes at a time), merges those within
   VERTEX_TOL in every coordinate, sorts each plane's vertices (those within
   VERTEX_TOL of it) by angle about their centroid, which gives the facet
-  cycles, and sums the volume as sum_f c_f area_f / 3.
+  cycles, and sums the volume as sum_f c_f area_f / 3. Given a mirror map
+  of the planes, it takes one candidate of each +-x pair and builds one
+  facet of each pair (centrally symmetric polytopes, as in pe_3d).
 
 The tolerance is absolute, so `polytope_from_halfspaces` scales the
 offsets to max |c| = 1 before it calls the engine and gives the same answer
-at any scale. In 2D the pairs of halfplanes are solved directly and merged
-with the same `first_copies`.
+at any scale. In 2D the pairs of halfplanes are solved directly, with the
+offsets scaled by a power of two, and merged with the same `first_copies`.
 """
 
 from dataclasses import dataclass
@@ -39,8 +41,8 @@ GEOM_TOL = 1e-9
 # 1000 times longer than wide)
 VERTEX_TOL = 1e-12
 # polytopes per feasibility test: a slice's slack array is (slice, candidates,
-# planes), while only the compacted feasible rows (at most 32 of about 416 in
-# pe_3d) need slack after it
+# planes), while only the compacted feasible rows (32 after mirroring the
+# 208 candidates of a sampled pe_3d polytope) need slack after it
 FEASIBILITY_SLICE = 4
 
 
@@ -123,9 +125,15 @@ def _counterclockwise(pts):
 
 
 def polygon_from_halfplanes(normals, offsets, tol=GEOM_TOL):
-    """Intersect halfplanes {x : n.x <= c} into a convex polygon (possibly empty)."""
+    """Intersect halfplanes {x : n.x <= c} into a convex polygon (possibly empty).
+
+    The offsets are scaled by a power of two to max |c| in [1/2, 1), which is
+    exact, so the absolute tol acts the same at any scale.
+    """
     N, c = normalize_halfspaces(normals, offsets)
-    return _counterclockwise(_feasible_intersections(N, c, tol))
+    scale = 2.0 ** np.frexp(np.abs(c).max(initial=0.0))[1]
+    poly = _counterclockwise(_feasible_intersections(N, c / scale, tol))
+    return Polygon2D(vertices=poly.vertices * scale)
 
 
 def polygon_from_vertices(vertices):
@@ -146,7 +154,7 @@ def solve_triples(N, c, triples):
     """
     b = np.arange(len(N))[:, None]
     n0, n1, n2 = (N[b, triples[..., j]] for j in range(3))
-    C0, C1, C2 = np.cross(n1, n2), np.cross(n2, n0), np.cross(n0, n1)
+    C0, C1, C2 = _cross(n1, n2), _cross(n2, n0), _cross(n0, n1)
     det = np.einsum("...d,...d->...", n0, C0)
     ok = np.abs(det) > 1e-10
     det = np.where(ok, det, 1.0)[..., None]
@@ -161,6 +169,16 @@ def solve_triples(N, c, triples):
     return x, ok
 
 
+def _cross(u, v):
+    """Cross products of 3-vectors on the last axis, bit-identical to np.cross
+    (the same products and differences) without its axis handling."""
+    out = np.empty(np.broadcast_shapes(u.shape, v.shape))
+    for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(u[..., i], v[..., j], out=out[..., k])
+        out[..., k] -= u[..., j] * v[..., i]
+    return out
+
+
 def _combine(w0, w1, w2, C0, C1, C2, det):
     """(w0 C0 + w1 C1 + w2 C2) / det, accumulated in place."""
     out = w0[..., None] * C0
@@ -173,9 +191,9 @@ def _combine(w0, w1, w2, C0, C1, C2, det):
 class Assembly(NamedTuple):
     """Stacked polytopes built by assemble_polytopes.
 
-    Polytope o has the vertices X[o][is_vertex[o]]; cycles[o, p, :sizes[o, p]]
-    lists the indices into X[o] of the vertices on plane p, counterclockwise
-    seen from outside.
+    Polytope o has the vertices X[o][is_vertex[o]]; cycles[o, f, :sizes[o, f]]
+    lists the indices into X[o] of the vertices on facet plane f (every
+    plane, or one of each mirror pair), counterclockwise seen from outside.
     """
 
     X: np.ndarray
@@ -200,7 +218,7 @@ def compact_rows(mask, *arrays):
     return [np.take_along_axis(mask, idx, axis=1)] + gathered
 
 
-def assemble_polytopes(N, c, keep, X, ok):
+def assemble_polytopes(N, c, keep, X, ok, mirror=None):
     """Vertices, facet cycles and volumes of the polytopes {x : N[o] x <= c[o]}.
 
     N, c hold unit planes (k, p, 3) and (k, p); keep masks the planes that
@@ -209,22 +227,35 @@ def assemble_polytopes(N, c, keep, X, ok):
     that solve a triple. Candidates that satisfy every kept plane within
     VERTEX_TOL (tested FEASIBILITY_SLICE polytopes at a time) are compacted
     to the front and merged within VERTEX_TOL, and only they get their slack
-    at every plane; each plane's vertices are sorted by angle about their
-    centroid, and the volume is sum_f c_f area_f / 3.
+    at every facet plane; each plane's vertices are sorted by angle about
+    their centroid, and the volume is sum_f c_f area_f / 3.
+
+    mirror, a permutation of the p planes, declares every polytope centrally
+    symmetric: plane mirror[q] is plane q negated, bit for bit, and keep is
+    mirror-invariant. X then holds one candidate of each +-x pair. The slack
+    of -x at mirror[q] is that of x at q, so only X is tested; the rows
+    [X, -X] are compacted together, so that no polytope's row layout depends
+    on its stack partners. Facets come in +- pairs of equal area: only the
+    planes q < mirror[q] carry facets, and the volume is twice their sum.
     """
     feas = np.empty(ok.shape, dtype=bool)
     for s in range(0, len(X), FEASIBILITY_SLICE):
         part = slice(s, s + FEASIBILITY_SLICE)
         slack = plane_slack(N[part], c[part], X[part])
         feas[part] = ok[part] & ((slack >= -VERTEX_TOL) | ~keep[part, None, :]).all(axis=-1)
+    if mirror is not None:
+        X = np.concatenate([X, -X], axis=1)
+        feas = np.hstack([feas, feas])
+        facets = np.flatnonzero(np.arange(N.shape[1]) < mirror)
+        N, c, keep = N[:, facets], c[:, facets], keep[:, facets]
     feas, X = compact_rows(feas, X)
     slack = plane_slack(N, c, X)
     feas &= first_copies(X, VERTEX_TOL)
     on = (feas[:, :, None] & (np.abs(slack) <= VERTEX_TOL) & keep[:, None, :]).transpose(0, 2, 1)
     # in-plane coordinates (t1, t2) with t1 x t2 = n, so counterclockwise is positive
-    t1 = np.cross(N, np.eye(3)[np.argmin(np.abs(N), axis=-1)])
+    t1 = _cross(N, np.eye(3)[np.argmin(np.abs(N), axis=-1)])
     t1 /= np.linalg.norm(t1, axis=-1)[..., None]
-    t2 = np.cross(N, t1)
+    t2 = _cross(N, t1)
     a = t1 @ X.transpose(0, 2, 1)
     b = t2 @ X.transpose(0, 2, 1)
     sizes = on.sum(axis=-1)
@@ -239,7 +270,8 @@ def assemble_polytopes(N, c, keep, X, ok):
     a = np.where(on, a, a[..., :1])
     b = np.where(on, b, b[..., :1])
     area = 0.5 * (a * np.roll(b, -1, axis=-1) - np.roll(a, -1, axis=-1) * b).sum(axis=-1)
-    return Assembly(X, feas, order, sizes, (c * area / 3.0).sum(axis=-1))
+    volume = (c * area / 3.0).sum(axis=-1)
+    return Assembly(X, feas, order, sizes, volume if mirror is None else 2.0 * volume)
 
 
 @dataclass(frozen=True)

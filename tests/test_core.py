@@ -202,9 +202,20 @@ def test_cvp_and_shortest_vector_are_basis_invariant(case):
 
 
 def test_as_basis_rank_test_is_scale_free():
-    for scale in (1e-4, 1e-8, 1e4):
-        assert np.array_equal(as_basis(scale * FCC), scale * FCC)
-        with pytest.raises(RankDeficiencyError):
-            as_basis(scale * np.array([[1.0, 2.0], [2.0, 4.0]]))
-    with pytest.raises(RankDeficiencyError):
-        as_basis(np.zeros((3, 3)))
+    # Hadamard's bound: a skewed unimodular basis, with entries 1e6 times its
+    # determinant, is full rank, while singular, zero and nearly singular
+    # matrices are refused, at any scale
+    skew = np.array([[1.0, 1e6], [0.0, 1.0]])
+    singular = [
+        np.array([[1.0, 2.0], [2.0, 4.0]]),
+        np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]),
+        np.column_stack([FCC[:, 0], FCC[:, 1], FCC[:, 0] + FCC[:, 1]]),
+        np.column_stack([FCC[:, :2], FCC[:, 0] + FCC[:, 1] + 1e-13 * FCC[:, 2]]),
+        np.zeros((3, 3)),
+    ]
+    for scale in [1e-8, 1e-4, 1e4] + list(10.0 ** np.arange(-100, 101, 20)):
+        for V in (skew, FCC, BCC):
+            assert np.array_equal(as_basis(scale * V), scale * V)
+        for V in singular:
+            with pytest.raises(RankDeficiencyError):
+                as_basis(scale * V)

@@ -141,6 +141,12 @@ def test_geometric_scale_invariance():
         rb = _random_reduced(rng)
         s = rng.uniform(0.1, 10.0)
         assert pe_geometric_2d(s * rb.basis()) == pytest.approx(pe_closed_form(rb), abs=1e-9)
+    # the polygon tolerance acts on offsets scaled by a power of two, and the
+    # bisector search pads relatively, so a lattice far below or above unit
+    # size gives the unit answer
+    rb = ReducedBasis2D(0.37, 1.13)
+    for s in 10.0 ** np.arange(-12, 13, 2):
+        assert pe_geometric_2d(s * rb.basis()) == pytest.approx(pe_closed_form(rb), abs=1e-13)
 
 
 def test_packing_density_and_max():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latbabai.core import UnsupportedDimensionError, as_basis, packing_density, volume
+from latbabai.error2d import DENSITY_2D_MAX, pe_density_form
 from latbabai.error3d import (
     ORDERING_TIE_TOL,
     ORDERINGS,
@@ -329,11 +330,13 @@ def test_pe_kernel_stack_equals_one_lattice_calls():
 
 
 @pytest.mark.parametrize(
-    "trials, floor, seed", [(1, 0.0, 1), (2, 0.0, 2), (3, 0.0, 3), (4, 0.0, 4), (7, 0.0, 7), (1000, 0.4, 1)]
+    "trials, floor, seed",
+    [(1, 0.0, 1), (2, 0.0, 2), (3, 0.0, 3), (4, 0.0, 4), (5, 0.0, 5), (7, 0.0, 7), (1000, 0.36, 1)],
 )
 def test_scan_random_stacks_equal_single_trials(trials, floor, seed):
     # trial counts on both sides of the stack size, and a floor that about
-    # one trial in 300 passes (4 of these 1,000), so stacks gather trials far apart
+    # one trial in 150 passes (7 of these 1,000), so stacks gather trials far
+    # apart and the last one is partial
     recs = scan_random(trials, density_floor=floor, seed=seed)
     seeds = np.random.SeedSequence(seed).generate_state(trials)
     expected = [r for r in (_scan_one(int(s), floor) for s in seeds) if r is not None]
@@ -341,9 +344,9 @@ def test_scan_random_stacks_equal_single_trials(trials, floor, seed):
     assert len(recs) == trials if floor == 0.0 else len(recs) > SCAN_STACK
 
 
-# traced peak of one kernel pass over SCAN_STACK sampled lattices: 1.877 MB
-# measured (numpy 2.4), plus 25 %. A stack of 4 reaches 2.48 MB.
-KERNEL_PEAK_BYTES = 1.877e6 * 1.25
+# traced peak of one kernel pass over SCAN_STACK sampled lattices: 1.602 MB
+# measured (numpy 2.4), plus 25 %. A stack of 7 reaches 2.21 MB.
+KERNEL_PEAK_BYTES = 1.602e6 * 1.25
 
 
 def test_scan_stack_kernel_peak_memory():
@@ -356,6 +359,28 @@ def test_scan_stack_kernel_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= KERNEL_PEAK_BYTES
+
+
+def test_error_probability_rises_with_packing_density():
+    # the paper's trend on its exemplars: the largest P_e at each distinct
+    # density is nondecreasing in the density
+    worst = {}
+    for V in KNOWN_LATTICES.values():
+        d = round(packing_density(V), 9)
+        worst[d] = max(worst.get(d, 0.0), pe_3d(V).pe)
+    dens = sorted(worst)
+    envelope = [worst[d] for d in dens]
+    assert np.round(dens, 2).tolist() == [0.52, 0.60, 0.68, 0.74]
+    assert envelope == pytest.approx([1 / 12, 1 / 12, 7 / 48, 65 / 432], abs=1e-14)
+    assert all(lo <= hi + ORDERING_TIE_TOL for lo, hi in zip(envelope, envelope[1:]))
+    # and in 2D, where the worst case over the reduced bases of density D,
+    # {(1, 0), (a, pi / (4 D))} with a^2 + b^2 >= 1, rises strictly with D
+    a = np.linspace(-0.5, 0.0, 201)
+    envelope = []
+    for D in np.linspace(0.3, DENSITY_2D_MAX, 25):
+        b = np.pi / (4.0 * D)
+        envelope.append(max(pe_density_form(x, D) for x in a[a * a + b * b >= 1.0 - 1e-12]))
+    assert all(lo < hi for lo, hi in zip(envelope, envelope[1:]))
 
 
 def test_summarize_scan():

@@ -1,15 +1,61 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from latbabai.polytope import (
     Polygon2D,
+    _cross,
     box_halfspaces,
     intersect_polytopes,
     normalize_halfspaces,
     polygon_from_halfplanes,
     polygon_from_vertices,
     polytope_from_halfspaces,
+    solve_triples,
 )
+
+
+def _bits(x):
+    return [v.hex() for v in np.asarray(x, dtype=float).ravel()]
+
+
+def test_cross_is_bit_identical_to_numpy():
+    rng = np.random.default_rng(3)
+    u, v = rng.normal(size=(2, 18, 392, 3))
+    # signed zeros and exact cancellations, whose signs follow the order of
+    # the products and the difference
+    u[0, :5] = [[0.0, -0.0, 1.0], [-0.0, 0.0, -0.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [2.0, -0.0, 3.0]]
+    v[0, :5] = [[-0.0, 0.0, 2.0], [0.0, -0.0, 0.0], [1.0, 1.0, 1.0], [-0.0, -0.0, -0.0], [4.0, 0.0, 6.0]]
+    assert _bits(_cross(u, v)) == _bits(np.cross(u, v))
+    # broadcast against one row per polytope, as for the in-plane frames
+    assert _bits(_cross(u, np.eye(3)[1])) == _bits(np.cross(u, np.eye(3)[1]))
+
+
+_UNIT = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    N=arrays(float, (6, 3), elements=_UNIT),
+    c=arrays(float, 6, elements=st.floats(-4.0, 4.0, allow_subnormal=False)),
+)
+def test_mirror_triples_solve_to_exactly_minus_x(N, c):
+    # planes [N; -N] with equal offsets: the mirror image of plane i is i + 6,
+    # and the image of a triple, in its own order, solves to -x bit for bit,
+    # up to the sign of a zero coordinate ((+0) + (-0) and (-0) + (+0) are +0)
+    lens = np.linalg.norm(N, axis=1)
+    assume((lens > 1e-3).all())
+    planes, offsets = np.vstack([N / lens[:, None], -N / lens[:, None]]), np.concatenate([c, c])
+    mirror = np.r_[np.arange(6, 12), np.arange(6)]
+    triples = np.array(list(combinations(range(12), 3)))
+    X, ok = solve_triples(planes[None], offsets[None], triples[None])
+    Xm, okm = solve_triples(planes[None], offsets[None], mirror[triples][None])
+    assert np.array_equal(ok, okm)
+    assert _bits(X[ok] + 0.0) == _bits(0.0 - Xm[ok])
 
 
 def test_normalize_rejects_zero_normal():
