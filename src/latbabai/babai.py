@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import LatticePoint, _cvp, _nearest_plane, as_basis, checked_int64
+from .core import LatticePoint, _cvp, _frame, _nearest_plane, checked_int64
 
 
 @lru_cache(maxsize=None)
@@ -58,13 +58,13 @@ def nearest_plane_general(V, X):
     R = cholesky(V^T V)^T is the upper triangular generator of the rotated
     lattice, V = Q R with Q orthogonal, so the target's coordinates in that
     frame are Q^T x = R^-T V^T x and the nearest-plane recursion finishes the job.
+    R is factored once per basis and kept (core._frame).
     """
-    V = as_basis(V)
-    return _nearest_plane_general(V, _as_targets(X, V.shape[0]))
+    V, frame = _frame(V)
+    return _nearest_plane_general(V, frame.R, _as_targets(X, V.shape[0]))
 
 
-def _nearest_plane_general(V, X):
-    R = np.linalg.cholesky(V.T @ V).T
+def _nearest_plane_general(V, R, X):
     T = np.linalg.solve(R.T, (X @ V).T).T
     return checked_int64(_nearest_plane(R, T), T, "nearest_plane")
 
@@ -97,10 +97,10 @@ def is_babai_error(V, x):
     The closest point is cvp_bruteforce's, exact for any basis. Distances are
     compared with 1e-12 slack, so ties on cell boundaries are not errors.
     """
-    V = as_basis(V)
+    V, frame = _frame(V)
     x = np.asarray(x, dtype=float)
-    approx = _nearest_plane_general(V, x)
-    exact = _cvp(V, x)
+    approx = _nearest_plane_general(V, frame.R, x)
+    exact = _cvp(V, frame, x)
     d_approx = np.linalg.norm(x - V @ approx)
     return bool(d_approx > np.linalg.norm(x - exact.point) + 1e-12)
 

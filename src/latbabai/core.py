@@ -7,7 +7,10 @@ Everything here works on plain numpy arrays.
 
 import json
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,18 +160,19 @@ def unit_volume_normalize(V):
 MAX_BOX_ROWS = 2**20
 
 
-def _certified_box(Vinv, r, y=0.0):
+def _certified_box(inv_row_norms, r, y=0.0):
     """Every integer u with |u_i - y_i| <= r ||row_i(V^-1)|| (plus 1e-9 for rounding).
 
     It holds every lattice point V u within r of x = V y, since u - y =
-    V^-1 (V u - x) (Fincke & Pohst, Math. Comp. 44, 1985). Rows come in
-    lexicographic order, so about y = 0 the row of -u mirrors that of u.
+    V^-1 (V u - x) (Fincke & Pohst, Math. Comp. 44, 1985); inv_row_norms
+    are the ||row_i(V^-1)||. Rows come in lexicographic order, so about
+    y = 0 the row of -u mirrors that of u.
     The box is counted before it is built; above MAX_BOX_ROWS points
     EnumerationTooLargeError is raised.
     """
-    if len(Vinv) > 4:
+    if len(inv_row_norms) > 4:
         raise UnsupportedDimensionError("lattice enumeration covers only n <= 4")
-    half = np.linalg.norm(Vinv, axis=1) * r + 1e-9
+    half = inv_row_norms * r + 1e-9
     lo = np.ceil(y - half)
     widths = (np.floor(y + half) - lo + 1).tolist()
     rows = math.prod(widths)
@@ -208,7 +212,7 @@ def shortest_vector(V):
 
 def _shortest_vector(V):
     bound = float(np.sqrt((V.T @ V).diagonal().min()))
-    U = _certified_box(np.linalg.inv(V), bound)
+    U = _certified_box(np.linalg.norm(np.linalg.inv(V), axis=1), bound)
     return _nearest_in_box(V, U[np.any(U != 0, axis=1)], 0.0)
 
 
@@ -225,6 +229,50 @@ def packing_density(V):
     return float(_BALL_VOLUME[n](rho) / _volume(V))
 
 
+class _Frame(NamedTuple):
+    """Read-only factors of one validated basis V."""
+
+    R: np.ndarray  # cholesky(V^T V)^T, upper triangular with V = Q R
+    Vinv: np.ndarray
+    inv_row_norms: np.ndarray  # ||row_i(V^-1)||, the certified box's scale
+
+
+# bases whose frames are kept; the decode stream cycles through 4
+_FRAMES_KEPT = 32
+_frames = OrderedDict()
+_frames_lock = threading.Lock()
+
+
+def _frame(V):
+    """V as float, and its _Frame from a bounded least-recently-used cache.
+
+    The key is (shape, strides, bytes) of the float array, and the factors
+    are computed from that very array: numpy's products can round differently
+    on another memory layout, so an F-order basis and its C-order copy are
+    two keys. Whether V passes as_basis depends on the key alone, so a hit
+    skips the check; a basis that fails raises and is not cached. Products
+    with V itself stay with the caller, who passes V, not a cached copy.
+    """
+    V = np.asarray(V, dtype=float)
+    key = (V.shape, V.strides, V.tobytes())
+    with _frames_lock:
+        frame = _frames.get(key)
+        if frame is not None:
+            _frames.move_to_end(key)
+            return V, frame
+    V = as_basis(V)
+    R = np.linalg.cholesky(V.T @ V).T
+    Vinv = np.linalg.inv(V)
+    frame = _Frame(R, Vinv, np.linalg.norm(Vinv, axis=1))
+    for a in frame:
+        a.flags.writeable = False
+    with _frames_lock:
+        _frames[key] = frame
+        if len(_frames) > _FRAMES_KEPT:
+            _frames.popitem(last=False)
+    return V, frame
+
+
 def cvp_bruteforce(V, x):
     """Exact closest lattice point for any basis (n <= 4), by certified enumeration.
 
@@ -234,15 +282,13 @@ def cvp_bruteforce(V, x):
     inside. Ties go to the lexicographically smallest coefficient vector.
     A box of more than MAX_BOX_ROWS points raises EnumerationTooLargeError.
     """
-    return _cvp(as_basis(V), np.asarray(x, dtype=float))
+    return _cvp(*_frame(V), np.asarray(x, dtype=float))
 
 
-def _cvp(V, x):
+def _cvp(V, frame, x):
     if not np.isfinite(x).all():
         raise ValueError("cvp_bruteforce target must be finite")
-    Vinv = np.linalg.inv(V)
-    y = Vinv @ x
-    R = np.linalg.cholesky(V.T @ V).T
-    b = checked_int64(_nearest_plane(R, R @ y), x, "cvp_bruteforce")
+    y = frame.Vinv @ x
+    b = checked_int64(_nearest_plane(frame.R, frame.R @ y), x, "cvp_bruteforce")
     r = float(np.linalg.norm(x - V @ b))
-    return _nearest_in_box(V, _certified_box(Vinv, r * (1.0 + 1e-9), y), x)
+    return _nearest_in_box(V, _certified_box(frame.inv_row_norms, r * (1.0 + 1e-9), y), x)

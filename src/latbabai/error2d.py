@@ -112,7 +112,7 @@ def _voronoi_halfplanes(R):
     # 2 * (half box diagonal) bounds 2 * covering radius; both pads are
     # relative, so the lattice's scale does not change which vectors count
     radius = float(np.linalg.norm(np.diag(R))) * (1.0 + 1e-9)
-    U = _certified_box(np.linalg.inv(R), radius)
+    U = _certified_box(np.linalg.norm(np.linalg.inv(R), axis=1), radius)
     W = U[np.any(U != 0, axis=1)] @ R.T
     norms2 = np.einsum("ij,ij->i", W, W)
     keep = norms2 <= radius * radius * (1.0 + 1e-9)

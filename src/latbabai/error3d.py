@@ -452,7 +452,7 @@ def mc_pe_oracle(basis, samples, seed=None):
     _, R = qr_upper(V)
     h = 0.5 * np.diag(R)
     radius = 2.0 * float(np.linalg.norm(h)) + 1e-9
-    U = _certified_box(np.linalg.inv(R), radius)
+    U = _certified_box(np.linalg.norm(np.linalg.inv(R), axis=1), radius)
     # the box lists -u in mirror position to u, so the rows after its
     # central zero hold one vector of each pair
     P = U[len(U) // 2 + 1 :] @ R.T

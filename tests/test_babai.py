@@ -1,8 +1,18 @@
+"""Nearest-plane decoding, and the per-basis frames it shares with cvp_bruteforce.
+
+`python tests/test_babai.py SEED ...` prints one line per seeded query on the
+four decode lattices: the seed, the query index, and the float.hex of the
+coefficients and point of babai_point and of cvp_bruteforce. Dumps of two
+checkouts compare with `cmp`.
+"""
+
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from latbabai import core
 from latbabai.babai import (
     BabaiCell,
     babai_cell,
@@ -11,8 +21,10 @@ from latbabai.babai import (
     nearest_plane,
     nearest_plane_general,
 )
-from latbabai.core import as_basis, cvp_bruteforce, qr_upper, volume
-from latbabai.lattices import BCC_UNIT, HEXAGONAL_2D
+from latbabai.core import LatticePoint, RankDeficiencyError, as_basis, cvp_bruteforce, qr_upper, volume
+from latbabai.lattices import BCC_UNIT, FCC, HEXA_RHOMBIC, HEXAGONAL_2D
+
+DECODE_LATTICES = (HEXAGONAL_2D, BCC_UNIT, FCC, HEXA_RHOMBIC)
 
 
 def test_nearest_plane_rounds_halves_up():
@@ -194,3 +206,109 @@ def test_babai_error_flag_matches_distance_comparison():
         d_b = np.linalg.norm(x - babai_point(V, x).point)
         d_c = np.linalg.norm(x - cvp_bruteforce(V, x).point)
         assert flag == (d_b > d_c + 1e-12)
+
+
+def _hexdump(value):
+    """float.hex of every number in an output of the frame's entry points."""
+    if isinstance(value, LatticePoint):
+        return _hexdump(value.coeffs) + _hexdump(value.point)
+    return tuple(float(v).hex() for v in np.ravel(value))
+
+
+ENTRY_POINTS = (babai_point, cvp_bruteforce, nearest_plane_general, is_babai_error)
+
+
+def _decode_all(V, X, cold):
+    # cold empties the frame cache before every call, so each call factors V afresh
+    out = []
+    for f, target in [(f, x) for x in X for f in ENTRY_POINTS] + [(nearest_plane_general, X)]:
+        if cold:
+            core._frames.clear()
+        out.append(_hexdump(f(V, target)))
+    return out
+
+
+# the decode lattices as given (HEXAGONAL_2D is C-order, BCC_UNIT and FCC
+# F-order), a view with a negative stride, a slice of a larger array and a list
+BASES = {
+    "HEXAGONAL_2D": lambda: HEXAGONAL_2D,
+    "BCC_UNIT": lambda: BCC_UNIT,
+    "FCC": lambda: FCC,
+    "reversed_columns": lambda: BCC_UNIT[:, ::-1],
+    "slice_of_larger": lambda: np.pad(HEXA_RHOMBIC, 1)[1:4, 1:4],
+    "list_of_lists": lambda: FCC.tolist(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_cached_frames_give_the_bits_of_fresh_ones(name):
+    V = BASES[name]()
+    W = np.asarray(V, dtype=float)
+    X = np.random.default_rng(43).uniform(-3.0, 3.0, size=(40, len(W))) @ W.T
+    cold = _decode_all(V, X, cold=True)
+    # other layouts of the same lattice are other keys and must not leak in
+    for other in (np.ascontiguousarray(W), np.asfortranarray(W)):
+        _decode_all(other, X[:1], cold=False)
+    assert _decode_all(V, X, cold=False) == cold
+    # products with V use the caller's array, whatever its layout
+    for x in X:
+        for lp in (babai_point(V, x), cvp_bruteforce(V, x)):
+            assert _hexdump(lp.point) == _hexdump(W @ lp.coeffs)
+
+
+def test_editing_the_basis_in_place_gives_the_new_lattices_answer():
+    V = HEXAGONAL_2D.copy()
+    x = np.array([0.9, 0.4])
+    assert babai_point(V, x).coeffs.tolist() == cvp_bruteforce(V, x).coeffs.tolist() == [1, 0]
+    V *= 3.0
+    assert babai_point(V, x).coeffs.tolist() == cvp_bruteforce(V, x).coeffs.tolist() == [0, 0]
+    assert nearest_plane_general(V, np.array([[0.9, 0.4], [2.9, 0.1]])).tolist() == [[0, 0], [1, 0]]
+    assert np.array_equal(core._frame(V)[1].R, 3.0 * qr_upper(HEXAGONAL_2D)[1])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_bad_bases_raise_on_every_call_and_bad_targets_still_raise():
+    kept = len(core._frames)
+    for bad, error in (([[1.0, 2.0], [2.0, 4.0]], RankDeficiencyError), ([[1.0, np.nan], [0.0, 1.0]], ValueError)):
+        for f in ENTRY_POINTS:
+            for _ in range(2):
+                with pytest.raises(error):
+                    f(np.array(bad), np.zeros(2))
+    assert len(core._frames) == kept
+    babai_point(HEXAGONAL_2D, np.zeros(2))
+    for f in ENTRY_POINTS:
+        for x in ([np.nan, 0.0], [0.0, np.inf]):
+            with pytest.raises(ValueError):
+                f(HEXAGONAL_2D, np.array(x))
+
+
+def test_cached_factors_are_read_only_and_the_cache_is_bounded():
+    _, frame = core._frame(BCC_UNIT)
+    for a in frame:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    shears = [HEXAGONAL_2D + [[0.0, k + 1.0], [0.0, 0.0]] for k in range(core._FRAMES_KEPT + 8)]
+    keys = [(V.shape, V.strides, V.tobytes()) for V in (HEXAGONAL_2D, *shears)]
+    babai_point(HEXAGONAL_2D, np.zeros(2))
+    for V in shears:
+        babai_point(V, np.zeros(2))
+        # the least recently used basis goes first; the one used every time stays
+        assert len(core._frames) <= core._FRAMES_KEPT and keys[0] in core._frames
+        babai_point(HEXAGONAL_2D, np.zeros(2))
+    assert [key in core._frames for key in keys[1:]] == [False] * 9 + [True] * (core._FRAMES_KEPT - 1)
+
+
+def dump(seed, queries=1000):
+    """Lines of float.hex output of babai_point and cvp_bruteforce on seeded queries."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for k in range(queries):
+        V = DECODE_LATTICES[k % len(DECODE_LATTICES)]
+        x = V @ rng.uniform(-3.0, 3.0, V.shape[0])
+        lines.append(" ".join([str(seed), str(k), *_hexdump(babai_point(V, x)), *_hexdump(cvp_bruteforce(V, x))]))
+    return lines
+
+
+if __name__ == "__main__":
+    for seed in (int(s) for s in sys.argv[1:]):
+        print(*dump(seed), sep="\n")
