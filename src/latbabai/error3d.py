@@ -28,7 +28,7 @@ from .polytope import (
     polytope_from_halfspaces,
     solve_triples,
 )
-from .reduction import ConormSet, Superbase, conorms, to_obtuse_superbase
+from .reduction import PAIR_ORDER_3D, ConormSet, Superbase, _obtuse_superbases, to_obtuse_superbase
 
 
 class CellType(Enum):
@@ -161,16 +161,13 @@ def _triple_tables():
     two box planes are parallel exactly when their indices agree mod 3. No
     triple is its own mirror image; of a triple and its image, the one that
     sorts first is kept. Returns the cell triples (182 of 364), and the
-    box-stage triples that do not depend on the cell (88 of 176): each cell
-    plane with each box edge (non-parallel box pair), then the box corners.
+    box-stage triples that do not depend on the cell (28 of 56): each cell
+    plane with each edge (non-parallel pair) of the box planes 15, 16, 18, 19.
+    Box row 0 (planes 14, 17) repeats a cell plane pair and is in no triple.
     """
     cell = np.array(list(combinations(range(14), 3)))
-    edges = np.array([(14 + a, 14 + b) for a, b in combinations(range(6), 2) if a % 3 != b % 3])
-    corners = np.array([(14 + a, 15 + b, 16 + c) for a in (0, 3) for b in (0, 3) for c in (0, 3)])
-    fixed = np.vstack([
-        np.column_stack([np.repeat(np.arange(14), len(edges)), np.tile(edges, (14, 1))]),
-        corners,
-    ])
+    edges = np.array([(14 + a, 14 + b) for a, b in combinations((1, 2, 4, 5), 2) if a % 3 != b % 3])
+    fixed = np.column_stack([np.repeat(np.arange(14), len(edges)), np.tile(edges, (14, 1))])
     key = np.array([400, 20, 1])  # plane indices are below 20: keys sort triples lexicographically
     tables = tuple(t[t @ key < np.sort(_MIRROR[t], axis=1) @ key] for t in (cell, fixed))
     for table in tables:
@@ -213,15 +210,15 @@ def _pe_orderings(A, signs, orders):
     adjacent |= adjacent[:, _MIRROR[:14, None], _MIRROR[:14]]
     adjacent = np.triu(adjacent, 1).reshape(n, -1)
     # each lattice's pairs in row-major order, padded with masked pairs, and
-    # each pair with the box planes 14..16 (the mirror triples bring 17..19)
+    # each pair with the box planes 15, 16 (the mirror triples bring 18, 19)
     live, flat = compact_rows(adjacent, np.broadcast_to(np.arange(14 * 14), adjacent.shape))
-    pairs = np.repeat(np.stack(np.divmod(flat, 14), axis=-1), 3, axis=1)
-    box = np.broadcast_to(np.tile(np.arange(14, 17), flat.shape[1])[:, None], pairs.shape[:2] + (1,))
+    pairs = np.repeat(np.stack(np.divmod(flat, 14), axis=-1), 2, axis=1)
+    box = np.broadcast_to(np.tile(np.arange(15, 17), flat.shape[1])[:, None], pairs.shape[:2] + (1,))
     triples = np.concatenate([
         np.concatenate([pairs, box], axis=-1),
         np.broadcast_to(fixed_triples, (n,) + fixed_triples.shape),
     ], axis=1)
-    solvable = np.hstack([np.repeat(live, 3, axis=1), np.ones((n, len(fixed_triples)), dtype=bool)])
+    solvable = np.hstack([np.repeat(live, 2, axis=1), np.ones((n, len(fixed_triples)), dtype=bool)])
 
     P = np.array(orders)
     k = len(P)
@@ -233,8 +230,9 @@ def _pe_orderings(A, signs, orders):
     # polytope l * k + o is lattice l in ordering o
     N = np.concatenate([np.broadcast_to(Nc[:, None], (n, k, 14, 3)), Nb], axis=-2).reshape(-1, 20, 3)
     c = np.concatenate([np.broadcast_to(cc[:, None], (n, k, 14)), cb], axis=-1).reshape(-1, 20)
-    # a box plane within GEOM_TOL of a cell plane is that plane: exactly for
-    # the first box row, and at a conorm below GEOM_TOL, where dropping it
+    # a box plane within GEOM_TOL of a cell plane is that plane: always for
+    # box row 0, (A e_p0).u <= A_p0p0 / 2, kept only to be masked here and
+    # solved in no triple, and at a conorm below GEOM_TOL, where dropping it
     # moves P_e by about the conorm
     keep = distinct_planes(N, c)
     triples = np.repeat(triples, k, axis=0)
@@ -247,20 +245,20 @@ def _pe_orderings(A, signs, orders):
     return np.clip(1.0 - vol, 0.0, 1.0)
 
 
-def _pe_stack(bases, orders):
-    """P_e (L, k) of L 3x3 generators in each column ordering, in one kernel pass.
+def _frames(bases):
+    """Gram matrices A (L, 3, 3), obtuse superbase signs (L, 3) and Selling
+    matrices S (L, 4, 4) of L 3x3 generators, each scaled so that its first
+    column has norm 1; one sign search serves the whole stack."""
+    V = np.array([B / np.linalg.norm(B[:, 0]) for B in bases])
+    _, S, signs = _obtuse_superbases(V)
+    G = V.swapaxes(-1, -2) @ V
+    return 0.5 * (G + G.swapaxes(-1, -2)), signs, S
 
-    Each V is scaled so that its first column has norm 1, and its obtuse
-    superbase gives the signs of the cell planes.
-    """
-    A, signs = [], []
-    for V in bases:
-        V = V / np.linalg.norm(V[:, 0])
-        sb = to_obtuse_superbase(V)
-        signs.append(np.where(np.einsum("ij,ji->i", sb.vectors[1:], V) < 0.0, -1.0, 1.0))
-        G = V.T @ V
-        A.append(0.5 * (G + G.T))
-    return _pe_orderings(np.array(A), np.array(signs), orders)
+
+def _pe_stack(bases, orders):
+    """P_e (L, k) of L 3x3 generators in each column ordering, in one kernel pass."""
+    A, signs, _ = _frames(bases)
+    return _pe_orderings(A, signs, orders)
 
 
 def _best_ordering(pes):
@@ -355,10 +353,10 @@ def _reduced_basis_density(V):
 
 
 # sampled lattices per pe_3d kernel pass in scan_random. A stack shares the
-# kernel's per-call cost: stacks of 1 to 6 took about 2.3, 1.8, 1.5, 1.3, 1.2
-# and 1.1 ms per lattice (600 bases, 2-core machine), while the kernel's
-# traced peak grows by 0.3 MB per lattice (1.6 MB at 5), against a peak-memory
-# budget of about 2 MB for the whole scan
+# kernel's per-call cost and one sign search: stacks of 1 to 6 took about
+# 1.4, 0.9, 0.8, 0.75, 0.7 and 0.75 ms per lattice (600 bases, 2-core
+# machine), while the kernel's traced peak grows by 0.18 MB per lattice
+# (0.93 MB at 5), against a peak-memory budget of about 2 MB for the scan
 SCAN_STACK = 5
 
 
@@ -370,19 +368,22 @@ def _scan_sample(trial_seed, density_floor):
 
 
 def _scan_records(samples):
-    """Scan records of a stack of samples, through one pe_3d kernel pass."""
-    pes = _pe_stack([V for _, V, _ in samples], ORDERINGS)
-    records = []
-    for (seed, V, dens), pe in zip(samples, pes):
-        sb = Superbase.from_basis(V)
-        records.append(ScanRecord(
-            selling=tuple(float(x) for x in sb.selling_pairs()),
+    """Scan records of a stack of samples, through one pe_3d kernel pass. A
+    sampled basis has first column (1, 0, 0) and is obtuse as given, so its
+    frame's S is the Selling matrix of Superbase.from_basis(V), bit for bit."""
+    A, signs, S = _frames([V for _, V, _ in samples])
+    pes = _pe_orderings(A, signs, ORDERINGS)
+    i, j = np.transpose(PAIR_ORDER_3D)
+    return [
+        ScanRecord(
+            selling=tuple(float(x) for x in p),
             density=float(dens),
             pe=float(pe[_best_ordering(pe)]),
-            cell_type=classify_cell(conorms(sb)),
+            cell_type=classify_cell(np.maximum(-p, 0.0)),
             seed=seed,
-        ))
-    return records
+        )
+        for (seed, _, dens), pe, p in zip(samples, pes, S[:, i, j])
+    ]
 
 
 def _scan_one(trial_seed, density_floor):

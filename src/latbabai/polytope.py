@@ -42,7 +42,7 @@ GEOM_TOL = 1e-9
 VERTEX_TOL = 1e-12
 # polytopes per feasibility test: a slice's slack array is (slice, candidates,
 # planes), while only the compacted feasible rows (32 after mirroring the
-# 208 candidates of a sampled pe_3d polytope) need slack after it
+# 112 candidates of a sampled pe_3d polytope) need slack after it
 FEASIBILITY_SLICE = 4
 
 

@@ -143,6 +143,31 @@ class Superbase:
         return cls(np.vstack([-rows.sum(axis=0), rows]))
 
 
+def _obtuse_superbases(V, tol=OBTUSE_TOL):
+    """Obtuse superbases of a stack of bases V (L, n, n), n <= 3, by sign search.
+
+    All 2^n sign flips of the basis vectors are tested at once with
+    Superbase.is_obtuse's arithmetic, and each basis keeps the first obtuse
+    flip in a fixed order, identity first. Returns the superbase vectors
+    (L, n + 1, n) as rows, their Selling matrices (L, n + 1, n + 1) and the
+    signs (L, n); raises ObtuseSuperbaseNotFound if some basis admits no flip.
+    """
+    signs = np.array(list(product((1.0, -1.0), repeat=V.shape[-1])))
+    rows = (V[:, None] * signs[:, None, :]).swapaxes(-1, -2)
+    W = np.concatenate([-rows.sum(axis=-2, keepdims=True), rows], axis=-2)
+    S = W @ W.swapaxes(-1, -2)
+    S = 0.5 * (S + S.swapaxes(-1, -2))
+    d = np.sqrt(np.diagonal(S, axis1=-2, axis2=-1))
+    obtuse = (np.triu(S, 1) <= tol * (d[..., :, None] * d[..., None, :])).all(axis=(-2, -1))
+    if not obtuse.any(axis=1).all():
+        raise ObtuseSuperbaseNotFound(
+            "no sign pattern of the basis gives pairwise nonpositive inner products"
+        )
+    first = obtuse.argmax(axis=1)
+    stack = np.arange(len(V))
+    return W[stack, first], S[stack, first], signs[first]
+
+
 def to_obtuse_superbase(V, tol=OBTUSE_TOL):
     """Search sign flips of the basis vectors for an obtuse superbase.
 
@@ -151,17 +176,9 @@ def to_obtuse_superbase(V, tol=OBTUSE_TOL):
     order, identity first, so the result is deterministic.
     """
     V = as_basis(V)
-    n = V.shape[0]
-    if n > 3:
+    if V.shape[0] > 3:
         raise ValueError("obtuse superbase search implemented for n <= 3")
-    for signs in product((1.0, -1.0), repeat=n):
-        W = V * np.array(signs)[None, :]
-        sb = Superbase(np.vstack([-W.T.sum(axis=0), W.T]))
-        if sb.is_obtuse(tol):
-            return sb
-    raise ObtuseSuperbaseNotFound(
-        "no sign pattern of the basis gives pairwise nonpositive inner products"
-    )
+    return Superbase(_obtuse_superbases(V[None], tol)[0][0])
 
 
 def superbase_to_minkowski(sb, tol=OBTUSE_TOL):

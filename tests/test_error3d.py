@@ -23,7 +23,7 @@ from latbabai.error3d import (
     voronoi_cell_3d,
     voronoi_vertices_conorm_formula,
 )
-from latbabai.error3d import _pe_stack, _scan_one
+from latbabai.error3d import _pe_stack, _scan_one, _scan_records, _scan_sample
 from latbabai.lattices import (
     BCC,
     BCC_UNIT,
@@ -329,6 +329,33 @@ def test_pe_kernel_stack_equals_one_lattice_calls():
         assert [float(pe).hex() for pe in row] == [per[o].hex() for o in ORDERINGS]
 
 
+# conorms (c01, c02, c03, c23, c13, c12) of each cell type
+CELL_CONORMS = (
+    (1.0, 0.9, 0.8, 0.7, 0.6, 0.5),  # truncated octahedron
+    (0.0, 0.9, 0.8, 0.7, 0.6, 0.5),  # hexa-rhombic dodecahedron
+    (0.0, 0.9, 0.8, 0.0, 0.6, 0.5),  # rhombic dodecahedron
+    (0.0, 0.0, 0.8, 0.7, 0.6, 0.5),  # hexagonal prism
+    (1.0, 0.9, 0.8, 0.0, 0.0, 0.0),  # cuboid
+)
+
+
+def test_scan_records_match_per_basis_superbases():
+    # one sign search per stack gives each record the Selling parameters and
+    # cell type of its own basis's superbase, bit for bit, on sampled bases
+    # and on bases of every cell type with the sampler's first column (1, 0, 0)
+    samples = [_scan_sample(s, 0.0) for s in range(200)]
+    for seed, con in enumerate(CELL_CONORMS):
+        V = basis_from_conorms(con)
+        samples.append((seed, V / V[0, 0], 0.5))
+    assert {classify_cell(c) for c in CELL_CONORMS} == set(CellType)
+    for i in range(0, len(samples), SCAN_STACK):
+        stack = samples[i : i + SCAN_STACK]
+        for (_, V, _), rec in zip(stack, _scan_records(stack), strict=True):
+            sb = Superbase.from_basis(V)
+            assert [x.hex() for x in rec.selling] == [float(x).hex() for x in sb.selling_pairs()]
+            assert rec.cell_type is classify_cell(conorms(sb))
+
+
 @pytest.mark.parametrize(
     "trials, floor, seed",
     [(1, 0.0, 1), (2, 0.0, 2), (3, 0.0, 3), (4, 0.0, 4), (5, 0.0, 5), (7, 0.0, 7), (1000, 0.36, 1)],
@@ -344,9 +371,9 @@ def test_scan_random_stacks_equal_single_trials(trials, floor, seed):
     assert len(recs) == trials if floor == 0.0 else len(recs) > SCAN_STACK
 
 
-# traced peak of one kernel pass over SCAN_STACK sampled lattices: 1.602 MB
-# measured (numpy 2.4), plus 25 %. A stack of 7 reaches 2.21 MB.
-KERNEL_PEAK_BYTES = 1.602e6 * 1.25
+# traced peak of one kernel pass over SCAN_STACK sampled lattices: 0.930 MB
+# measured (numpy 2.4), plus 25 %. A stack of 7 reaches 1.30 MB.
+KERNEL_PEAK_BYTES = 0.930e6 * 1.25
 
 
 def test_scan_stack_kernel_peak_memory():

@@ -1,3 +1,5 @@
+from itertools import permutations, product
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,13 @@ from latbabai.lattices import (
     KNOWN_LATTICES,
 )
 from latbabai.reduction import (
+    OBTUSE_TOL,
     ConormSet,
     MinkowskiReport,
+    ObtuseSuperbaseNotFound,
     PAIR_ORDER_3D,
     Superbase,
+    _obtuse_superbases,
     conorms,
     is_minkowski_reduced,
     lagrange_gauss_reduce,
@@ -203,3 +208,67 @@ def test_superbase_from_basis_round_trip():
     sb = Superbase.from_basis(V)
     assert np.allclose(sb.basis(), V, atol=1e-12)
     assert np.allclose(sb.vectors[0], -V.sum(axis=1), atol=1e-12)
+
+
+def reference_obtuse_superbase(V, tol=OBTUSE_TOL):
+    """One Superbase per sign flip, identity first, until one is obtuse: the
+    search the stacked `_obtuse_superbases` must reproduce bit for bit.
+    Returns (superbase, signs), or None when no flip is obtuse."""
+    for signs in product((1.0, -1.0), repeat=V.shape[0]):
+        W = V * np.array(signs)[None, :]
+        sb = Superbase(np.vstack([-W.T.sum(axis=0), W.T]))
+        if sb.is_obtuse(tol):
+            return sb, np.array(signs)
+    return None
+
+
+def sign_search_cases():
+    """Flipped, permuted and scaled exemplars, and random bases, n = 1, 2, 3."""
+    rng = np.random.default_rng(16)
+    cases = [np.array([[1.5]]), np.array([[-2.0]]), as_basis(HEXAGONAL_2D)]
+    for V in [as_basis(V) for V in KNOWN_LATTICES.values()] + [as_basis(BCC_UNIT)]:
+        for p in permutations(range(3)):
+            for signs in product((1.0, -1.0), repeat=3):
+                for scale in (1e-6, 1.0, 3.7e4):
+                    cases.append(scale * V[:, list(p)] * np.array(signs))
+    for n in (1, 2, 3):
+        cases += [rng.normal(size=(n, n)) * rng.uniform(0.1, 10.0) for _ in range(300)]
+    return cases
+
+
+def test_stacked_sign_search_matches_the_per_flip_search():
+    found = {1: [], 2: [], 3: []}
+    raised = 0
+    for V in sign_search_cases():
+        ref = reference_obtuse_superbase(V)
+        if ref is None:
+            raised += 1
+            with pytest.raises(ObtuseSuperbaseNotFound):
+                _obtuse_superbases(V[None])
+            with pytest.raises(ObtuseSuperbaseNotFound):
+                to_obtuse_superbase(V)
+            continue
+        vectors, S, signs = (a[0] for a in _obtuse_superbases(V[None]))
+        assert np.array_equal(vectors, ref[0].vectors)
+        assert np.array_equal(S, ref[0].selling)
+        assert np.array_equal(signs, ref[1])
+        assert np.array_equal(to_obtuse_superbase(V).vectors, ref[0].vectors)
+        found[len(V)].append((V, vectors, S, signs))
+    # both outcomes occur, every dimension has obtuse bases, and a stack
+    # gives each basis what it gets alone
+    assert raised > 0 and all(found.values())
+    for cases in found.values():
+        vectors, S, signs = _obtuse_superbases(np.array([V for V, *_ in cases]))
+        assert np.array_equal(vectors, np.array([v for _, v, _, _ in cases]))
+        assert np.array_equal(S, np.array([s for _, _, s, _ in cases]))
+        assert np.array_equal(signs, np.array([g for *_, g in cases]))
+
+
+def test_stacked_sign_search_raises_if_any_basis_has_no_obtuse_flip():
+    # a unimodular shear of FCC that no sign flip makes obtuse
+    bad = as_basis(FCC) @ np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    assert reference_obtuse_superbase(bad) is None
+    good = [as_basis(V) for V in KNOWN_LATTICES.values()]
+    _obtuse_superbases(np.array(good))
+    with pytest.raises(ObtuseSuperbaseNotFound):
+        _obtuse_superbases(np.array(good[:2] + [bad] + good[2:]))
