@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import LatticePoint, _cvp, _frame, _nearest_plane, checked_int64
+from .core import LatticePoint, _as_target, _cvp, _frame, _nearest_plane, checked_int64
 
 
 @lru_cache(maxsize=None)
@@ -94,21 +94,23 @@ def babai_cell(R, b):
 def is_babai_error(V, x):
     """True when nearest-plane lands strictly farther from x than the true closest point.
 
-    The closest point is cvp_bruteforce's, exact for any basis. Distances are
-    compared with 1e-12 slack, so ties on cell boundaries are not errors.
+    The closest point is cvp_bruteforce's, exact for any basis. The Babai
+    distance must exceed the exact one by a relative 1e-12, so ties on cell
+    boundaries are not errors at any scale of the lattice.
     """
     V, frame = _frame(V)
-    x = np.asarray(x, dtype=float)
+    x = _as_target(x, V.shape[0])
     approx = _nearest_plane_general(V, frame.R, x)
     exact = _cvp(V, frame, x)
     d_approx = np.linalg.norm(x - V @ approx)
-    return bool(d_approx > np.linalg.norm(x - exact.point) + 1e-12)
+    return bool(d_approx > np.linalg.norm(x - exact.point) * (1.0 + 1e-12))
 
 
 def babai_point(V, x):
-    """Embedded nearest-plane output as a LatticePoint."""
-    b = nearest_plane_general(V, x)
-    return LatticePoint(coeffs=b, point=np.asarray(V, dtype=float) @ b)
+    """Embedded nearest-plane output for one target x, as a LatticePoint."""
+    V, frame = _frame(V)
+    b = _nearest_plane_general(V, frame.R, _as_target(x, V.shape[0]))
+    return LatticePoint(coeffs=b, point=V @ b)
 
 
 __all__ = [

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .babai import babai_point, nearest_plane
+from .babai import babai_point, is_babai_error, nearest_plane
 from .core import (
     RankDeficiencyError,
     UnsupportedDimensionError,
@@ -178,14 +178,11 @@ def _cmd_babai(args):
         raise ValueError(f"target needs {V.shape[0]} comma-separated components")
     approx = babai_point(V, x)
     exact = cvp_bruteforce(V, x)
-    is_error = bool(
-        np.linalg.norm(x - approx.point) > np.linalg.norm(x - exact.point) + 1e-12
-    )
     _emit_json(args, {
         "coeffs": [int(b) for b in approx.coeffs],
         "point": [float(v) for v in approx.point],
         "exact_point": [float(v) for v in exact.point],
-        "is_error": is_error,
+        "is_error": is_babai_error(V, x),
     })
     return 0
 

@@ -168,7 +168,7 @@ def _certified_box(inv_row_norms, r, y=0.0):
     are the ||row_i(V^-1)||. Rows come in lexicographic order, so about
     y = 0 the row of -u mirrors that of u.
     The box is counted before it is built; above MAX_BOX_ROWS points
-    EnumerationTooLargeError is raised.
+    EnumerationTooLargeError is raised. A box of one point is the row lo.
     """
     if len(inv_row_norms) > 4:
         raise UnsupportedDimensionError("lattice enumeration covers only n <= 4")
@@ -181,22 +181,35 @@ def _certified_box(inv_row_norms, r, y=0.0):
             f"certified enumeration box of {rows:.4g} points ({' x '.join(f'{w:.0f}' for w in widths)}) "
             f"exceeds {MAX_BOX_ROWS}; reduce the basis first (e.g. Lagrange-Gauss or Selling reduction)"
         )
-    return np.indices([int(w) for w in widths]).reshape(len(lo), -1).T + lo.astype(np.int64)
+    lo = lo.astype(np.int64)
+    if rows == 1:
+        return lo[None]
+    return np.array(np.unravel_index(np.arange(int(rows)), [int(w) for w in widths])).T + lo
 
 
-def _nearest_in_box(V, U, x):
-    """Nearest lattice point to x among rows U; the first row within 1e-12 (squared) wins."""
-    D = U @ V.T - x
-    d2 = np.einsum("ij,ij->i", D, D)
-    u = U[np.argmax(d2 <= d2.min() + 1e-12)]
-    return LatticePoint(coeffs=u.astype(int), point=V @ u)
+def _nearest_in_box(V, U, x, r):
+    """Nearest lattice point to x among rows U of a box of radius r.
+
+    The first row within 1e-12 r^2 of the minimal squared distance wins, a
+    window that scales with the lattice; a box of one row is its own answer.
+    """
+    if len(U) == 1:
+        u = U[0]
+    else:
+        D = U @ V.T - x
+        d2 = np.einsum("ij,ij->i", D, D)
+        # a copy, so that the answer does not keep the whole box alive
+        u = U[np.argmax(d2 <= d2.min() + 1e-12 * r * r)].copy()
+    return LatticePoint(coeffs=u, point=V @ u)
 
 
 def _nearest_plane(R, T):
     """The recursion of babai.nearest_plane as rounded floats, with no input checks."""
     B = np.zeros(T.shape)
-    for m in range(R.shape[0] - 1, -1, -1):
-        B[..., m] = round_half_up((T[..., m] - B[..., m + 1 :] @ R[m, m + 1 :]) / R[m, m])
+    m = R.shape[0] - 1
+    B[..., m] = np.floor(T[..., m] / R[m, m] + 0.5)
+    for m in range(m - 1, -1, -1):
+        B[..., m] = np.floor((T[..., m] - B[..., m + 1 :] @ R[m, m + 1 :]) / R[m, m] + 0.5)
     return B
 
 
@@ -213,7 +226,7 @@ def shortest_vector(V):
 def _shortest_vector(V):
     bound = float(np.sqrt((V.T @ V).diagonal().min()))
     U = _certified_box(np.linalg.norm(np.linalg.inv(V), axis=1), bound)
-    return _nearest_in_box(V, U[np.any(U != 0, axis=1)], 0.0)
+    return _nearest_in_box(V, U[np.any(U != 0, axis=1)], 0.0, bound)
 
 
 _BALL_VOLUME = {1: lambda r: 2.0 * r, 2: lambda r: np.pi * r**2, 3: lambda r: 4.0 * np.pi * r**3 / 3.0}
@@ -273,6 +286,14 @@ def _frame(V):
     return V, frame
 
 
+def _as_target(x, n):
+    """One target point of length n as float; a stack or another length raises ValueError."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"expected a target of length {n}, got shape {x.shape}")
+    return x
+
+
 def cvp_bruteforce(V, x):
     """Exact closest lattice point for any basis (n <= 4), by certified enumeration.
 
@@ -280,9 +301,11 @@ def cvp_bruteforce(V, x):
     of radius r = |x - V b| around V^-1 x (Agrell, Eriksson, Vardy & Zeger,
     IEEE Trans. IT 48(8), 2002); r is padded by a relative 1e-9 to keep ties
     inside. Ties go to the lexicographically smallest coefficient vector.
+    When the box holds b alone, b is returned without computing a distance.
     A box of more than MAX_BOX_ROWS points raises EnumerationTooLargeError.
     """
-    return _cvp(*_frame(V), np.asarray(x, dtype=float))
+    V, frame = _frame(V)
+    return _cvp(V, frame, _as_target(x, V.shape[0]))
 
 
 def _cvp(V, frame, x):
@@ -290,5 +313,6 @@ def _cvp(V, frame, x):
         raise ValueError("cvp_bruteforce target must be finite")
     y = frame.Vinv @ x
     b = checked_int64(_nearest_plane(frame.R, frame.R @ y), x, "cvp_bruteforce")
-    r = float(np.linalg.norm(x - V @ b))
-    return _nearest_in_box(V, _certified_box(frame.inv_row_norms, r * (1.0 + 1e-9), y), x)
+    d = x - V @ b
+    r = math.sqrt(d @ d) * (1.0 + 1e-9)
+    return _nearest_in_box(V, _certified_box(frame.inv_row_norms, r, y), x, r)

@@ -438,10 +438,12 @@ def mc_pe_oracle(basis, samples, seed=None):
     origin. Any such competitor has norm at most twice the sampled point's,
     so enumerating lattice points out to twice the cell circumradius is
     exhaustive. That ball is symmetric, so one vector of each pair +-p is
-    kept, and x is nearer to one of them than to the origin exactly when
-    |p|^2 - 2|x.p| < 0. Samples are drawn and tested MC_CHUNK at a time in
-    one reused buffer; every double takes one word of the generator's
-    stream, so the chunking does not change which points are drawn.
+    kept, and x counts as nearer to one of them than to the origin when
+    |p|^2 (1 + 1e-12) - 2|x.p| < 0: the relative margin keeps ties out at
+    any scale, as does the relative pad of the radius. Samples are drawn and
+    tested MC_CHUNK at a time in one reused buffer; every double takes one
+    word of the generator's stream, so the chunking does not change which
+    points are drawn.
     Returns (estimate, binomial standard error).
     """
     V = as_basis(basis)
@@ -452,13 +454,13 @@ def mc_pe_oracle(basis, samples, seed=None):
         raise ValueError("samples must be positive")
     _, R = qr_upper(V)
     h = 0.5 * np.diag(R)
-    radius = 2.0 * float(np.linalg.norm(h)) + 1e-9
+    radius = 2.0 * float(np.linalg.norm(h)) * (1.0 + 1e-9)
     U = _certified_box(np.linalg.norm(np.linalg.inv(R), axis=1), radius)
     # the box lists -u in mirror position to u, so the rows after its
     # central zero hold one vector of each pair
     P = U[len(U) // 2 + 1 :] @ R.T
     P = P[np.einsum("ij,ij->i", P, P) <= radius * radius]
-    norms2 = np.einsum("ij,ij->i", P, P)
+    limit = np.einsum("ij,ij->i", P, P) * (1.0 + 1e-12)
     rng = np.random.default_rng(seed)
     buf = np.empty(len(P) * min(MC_CHUNK, samples))
     errors = 0
@@ -470,8 +472,8 @@ def mc_pe_oracle(basis, samples, seed=None):
         np.matmul(P, X.T, out=margin)
         np.abs(margin, out=margin)
         margin *= 2.0
-        np.subtract(norms2[:, None], margin, out=margin)
-        errors += int(np.count_nonzero(margin.min(axis=0) < -1e-12))
+        np.subtract(limit[:, None], margin, out=margin)
+        errors += int(np.count_nonzero(margin.min(axis=0) < 0.0))
     p = errors / samples
     return p, float(np.sqrt(p * (1.0 - p) / samples))
 

@@ -406,8 +406,8 @@ def interactive_simulate(
     Rs = alpha * R
 
     rng = np.random.default_rng(seed)
-    X = np.column_stack([src.sample(rng, samples) for src in sources])
-    U = nearest_plane(Rs, X)
+    # no name holds the samples, so they are freed before the entropies
+    U = nearest_plane(Rs, np.column_stack([src.sample(rng, samples) for src in sources]))
 
     # H(U_i | U_{i+1..n}) = H(U_i..U_n) - H(U_{i+1}..U_n), summed over i
     joint_bits = [_plugin_entropy_bits(U[:, i:]) for i in range(n)] + [0.0]

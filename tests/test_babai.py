@@ -3,9 +3,10 @@
 `python tests/test_babai.py SEED ...` prints one line per seeded query on the
 four decode lattices: the seed, the query index, and the float.hex of the
 coefficients and point of babai_point and of cvp_bruteforce. Dumps of two
-checkouts compare with `cmp`.
+checkouts compare with `cmp`; the sha256 of seeds 1, 2 and 99 is DUMP_DIGEST.
 """
 
+import hashlib
 import math
 import sys
 
@@ -21,7 +22,15 @@ from latbabai.babai import (
     nearest_plane,
     nearest_plane_general,
 )
-from latbabai.core import LatticePoint, RankDeficiencyError, as_basis, cvp_bruteforce, qr_upper, volume
+from latbabai.core import (
+    LatticePoint,
+    RankDeficiencyError,
+    as_basis,
+    cvp_bruteforce,
+    qr_upper,
+    shortest_vector,
+    volume,
+)
 from latbabai.lattices import BCC_UNIT, FCC, HEXA_RHOMBIC, HEXAGONAL_2D
 
 DECODE_LATTICES = (HEXAGONAL_2D, BCC_UNIT, FCC, HEXA_RHOMBIC)
@@ -112,6 +121,13 @@ def test_wrong_target_length_is_a_value_error():
             nearest_plane(R, bad)
         with pytest.raises(ValueError, match="target"):
             nearest_plane_general(V, bad)
+    # the single-target entry points take no stacks either
+    for V, bads in ((HEXAGONAL_2D, ([0.2], np.zeros((2, 1)), np.zeros((2, 2)), np.zeros((1, 2)))),
+                    (BCC_UNIT, ([0.2, 0.7], np.zeros((3, 1)), np.ones((3, 3)), 0.5))):
+        for f in (babai_point, cvp_bruteforce, is_babai_error):
+            for bad in bads:
+                with pytest.raises(ValueError, match="target"):
+                    f(V, bad)
 
 
 def test_general_matches_triangular_on_rotated_bases():
@@ -208,6 +224,57 @@ def test_babai_error_flag_matches_distance_comparison():
         assert flag == (d_b > d_c + 1e-12)
 
 
+def test_ties_go_to_the_lexicographically_smallest_coefficients():
+    # Babai rounds halves up; the exact decoder takes the first of the tied box rows
+    assert cvp_bruteforce(np.eye(3), [0.5, 0.5, 0.5]).coeffs.tolist() == [0, 0, 0]
+    assert babai_point(np.eye(3), [0.5, 0.5, 0.5]).coeffs.tolist() == [1, 1, 1]
+    assert cvp_bruteforce(np.eye(2), [0.5, -0.5]).coeffs.tolist() == [0, -1]
+    assert not is_babai_error(np.eye(2), [0.5, -0.5])
+    # the midpoint of v1 and v2 ties (0, 1) with (1, 0) only: row order, not the corner, decides
+    assert cvp_bruteforce(HEXAGONAL_2D, HEXAGONAL_2D @ [0.5, 0.5]).coeffs.tolist() == [0, 1]
+
+
+def test_a_target_on_the_lattice_is_certified_by_a_one_point_box(monkeypatch):
+    rows = []
+    box = core._certified_box
+
+    def spy(*args):
+        U = box(*args)
+        rows.append(len(U))
+        return U
+
+    monkeypatch.setattr(core, "_certified_box", spy)
+    rng = np.random.default_rng(47)
+    for V in DECODE_LATTICES:
+        for b in rng.integers(-9, 10, size=(25, len(V))):
+            lp = cvp_bruteforce(V, V @ b)
+            assert lp.coeffs.dtype == np.int64 and lp.coeffs.tolist() == b.tolist()
+            assert _hexdump(lp.point) == _hexdump(V @ lp.coeffs)
+    assert rows == [1] * 100
+
+
+# targets x = s V u with u uniform in [-3, 3)^3 on BCC_UNIT, and sampled bases;
+# a power-of-two scale is exact in floating point, 1e-6 is not
+SCALES = (2.0**-40, 1e-6, 2.0**-20, 2.0**20, 2.0**40)
+
+
+def test_exact_decoders_do_not_depend_on_the_scale():
+    rng = np.random.default_rng(3)
+    V = as_basis(BCC_UNIT)
+    X = rng.uniform(-3.0, 3.0, size=(300, 3)) @ V.T
+    expected = [(cvp_bruteforce(V, x).coeffs.tolist(), is_babai_error(V, x)) for x in X]
+    assert 0 < sum(flag for _, flag in expected) < 300
+    bases = [*DECODE_LATTICES, *rng.normal(size=(100, 3, 3))]
+    shortest = [shortest_vector(B) for B in bases]
+    for s in SCALES:
+        W = s * V
+        assert [(cvp_bruteforce(W, s * x).coeffs.tolist(), is_babai_error(W, s * x)) for x in X] == expected
+        for B, sv in zip(bases, shortest):
+            scaled = shortest_vector(s * B)
+            assert scaled.coeffs.tolist() == sv.coeffs.tolist()
+            assert scaled.norm == pytest.approx(s * sv.norm, rel=1e-12)
+
+
 def _hexdump(value):
     """float.hex of every number in an output of the frame's entry points."""
     if isinstance(value, LatticePoint):
@@ -296,6 +363,17 @@ def test_cached_factors_are_read_only_and_the_cache_is_bounded():
         assert len(core._frames) <= core._FRAMES_KEPT and keys[0] in core._frames
         babai_point(HEXAGONAL_2D, np.zeros(2))
     assert [key in core._frames for key in keys[1:]] == [False] * 9 + [True] * (core._FRAMES_KEPT - 1)
+
+
+# sha256 of the dump lines of seeds 1, 2 and 99, each line ending in a newline
+# (`python tests/test_babai.py 1 2 99 | sha256sum`), recorded before the
+# one-point certificate
+DUMP_DIGEST = "bcc75c9e2308f72e418c2f3c76262b73bb66b796d99000df4733f0a00fd11c50"
+
+
+def test_decoder_bits_are_pinned():
+    lines = [line for seed in (1, 2, 99) for line in dump(seed)]
+    assert hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest() == DUMP_DIGEST
 
 
 def dump(seed, queries=1000):

@@ -456,6 +456,15 @@ def test_mc_pe_oracle_is_pinned_bit_for_bit(name, samples, seed):
     assert (pe.hex(), se.hex()) == MC_PINS[(name, samples, seed)]
 
 
+@pytest.mark.parametrize("name", sorted(MC_BASES))
+def test_mc_pe_oracle_does_not_depend_on_the_scale(name):
+    # a power-of-two scale is exact in floating point, so only an absolute
+    # length in the margin or the radius could move the estimate
+    expected = mc_pe_oracle(MC_BASES[name], 20_000, seed=3)
+    for k in (-40, -20, -1, 1, 20, 40):
+        assert mc_pe_oracle(2.0**k * MC_BASES[name], 20_000, seed=3) == expected
+
+
 def test_mc_pe_oracle_guards():
     with pytest.raises(ValueError):
         mc_pe_oracle(CUBIC_3D, samples=0)
