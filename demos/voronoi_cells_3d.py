@@ -5,8 +5,8 @@ Five cells, five lattices
 Every 3D lattice has a Voronoi cell drawn from a list of five shapes, told
 apart by which of the six conorms of an obtuse superbase vanish. This script
 builds the cell for one exemplar of each shape, checks counts and volume,
-and computes the rounding error probability, which depends on how the basis
-columns are ordered before the QR step.
+and computes the rounding error probability, which depends on the order in
+which the nearest-plane rule takes the basis columns.
 """
 
 import numpy as np

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import LatticePoint, _as_target, _cvp, _frame, _nearest_plane, checked_int64
+from .core import LatticePoint, _as_target, _babai, _cvp, _frame, _nearest_plane, checked_int64
 
 
 @lru_cache(maxsize=None)
@@ -24,7 +24,7 @@ def _below_diagonal(n):
 
 def _check_upper(R):
     R = np.asarray(R, dtype=float)
-    n = R.shape[0]
+    n = R.shape[0] if R.ndim else 0
     if R.shape != (n, n) or (np.abs(R[_below_diagonal(n)]) > 1e-10 * max(1.0, np.abs(R).max())).any():
         raise ValueError("expected an upper triangular generator matrix")
     if (R.diagonal() <= 0).any():
@@ -55,18 +55,13 @@ def nearest_plane(R, X):
 def nearest_plane_general(V, X):
     """Babai coefficients for an arbitrary full-rank basis (one target or a stack).
 
-    R = cholesky(V^T V)^T is the upper triangular generator of the rotated
-    lattice, V = Q R with Q orthogonal, so the target's coordinates in that
-    frame are Q^T x = R^-T V^T x and the nearest-plane recursion finishes the job.
-    R is factored once per basis and kept (core._frame).
+    V = Q R from qr_upper, with Q orthogonal and R the upper triangular
+    generator of the rotated lattice, so the target's coordinates in that
+    frame are Q^T x = R (V^-1 x) and the nearest-plane recursion finishes the
+    job. R and V^-1 are computed once per basis and kept (core._frame).
     """
     V, frame = _frame(V)
-    return _nearest_plane_general(V, frame.R, _as_targets(X, V.shape[0]))
-
-
-def _nearest_plane_general(V, R, X):
-    T = np.linalg.solve(R.T, (X @ V).T).T
-    return checked_int64(_nearest_plane(R, T), T, "nearest_plane")
+    return _babai(frame, _as_targets(X, V.shape[0]), "nearest_plane")[1]
 
 
 @dataclass(frozen=True)
@@ -100,16 +95,14 @@ def is_babai_error(V, x):
     """
     V, frame = _frame(V)
     x = _as_target(x, V.shape[0])
-    approx = _nearest_plane_general(V, frame.R, x)
-    exact = _cvp(V, frame, x)
-    d_approx = np.linalg.norm(x - V @ approx)
-    return bool(d_approx > np.linalg.norm(x - exact.point) * (1.0 + 1e-12))
+    d_babai, exact = _cvp(V, frame, x)
+    return bool(d_babai > np.linalg.norm(x - exact.point) * (1.0 + 1e-12))
 
 
 def babai_point(V, x):
     """Embedded nearest-plane output for one target x, as a LatticePoint."""
     V, frame = _frame(V)
-    b = _nearest_plane_general(V, frame.R, _as_target(x, V.shape[0]))
+    b = _babai(frame, _as_target(x, V.shape[0]), "nearest_plane")[1]
     return LatticePoint(coeffs=b, point=V @ b)
 
 

@@ -13,9 +13,9 @@ superbase, irrational row ratios, rank deficiency).
 
 import argparse
 import csv
+import functools
 import io
 import json
-import os
 import sys
 
 import numpy as np
@@ -30,7 +30,6 @@ from .core import (
     gram,
     lattice_from_json,
     packing_density,
-    qr_upper,
 )
 from .error2d import (
     LEVEL_CURVE_DEFAULT_KS,
@@ -44,6 +43,8 @@ from .error3d import CellType, classify_cell, pe_3d, scan_random, summarize_scan
 from .lattices import HEXAGONAL_2D, KNOWN_LATTICES, SQUARE_2D
 from .protocol import (
     IrrationalRatioError,
+    _sample_columns,
+    _scaled_upper,
     centralized_total_rate,
     fusion_decode,
     gaussian_source,
@@ -314,8 +315,6 @@ def _cmd_table2_scan(args):
 def _cmd_protocol_sim(args):
     V = _load_lattice(args.lattice)
     n = V.shape[0]
-    if args.alpha <= 0:
-        raise ValueError("alpha must be positive")
     make = uniform_source if args.source == "uniform" else gaussian_source
     sources = [make() for _ in range(n)]
     if args.model == "interactive":
@@ -327,14 +326,10 @@ def _cmd_protocol_sim(args):
             "decode_mismatches": 0,
         }
     else:
-        _, R = qr_upper(V)
-        Rs = args.alpha * R
+        _, Rs = _scaled_upper(V, args.alpha, sources)
         profile = rationalize(Rs)
-        report = centralized_total_rate(
-            sources, V, args.alpha, profile=profile, samples=args.samples, seed=args.seed
-        )
-        rng = np.random.default_rng([args.seed, 1])
-        X = np.column_stack([src.sample(rng, min(args.samples, 10**4)) for src in sources])
+        report = centralized_total_rate(sources, V, args.alpha, samples=args.samples, seed=args.seed)
+        X = _sample_columns(sources, min(args.samples, 10**4), [args.seed, 1])
         msgs = [node_encode(m, X[:, m], Rs, profile) for m in range(n)]
         differs = fusion_decode(msgs, Rs, profile) != nearest_plane(Rs, X)
         payload = {
@@ -347,6 +342,8 @@ def _cmd_protocol_sim(args):
     return 0
 
 
+# built on first use and kept: parse_args reads the parser and changes nothing in it
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="latbabai",
@@ -408,8 +405,7 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _NUMERIC_ERRORS as exc:

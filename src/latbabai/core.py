@@ -160,21 +160,22 @@ def unit_volume_normalize(V):
 MAX_BOX_ROWS = 2**20
 
 
-def _certified_box(inv_row_norms, r, y=0.0):
+def _certified_box(inv_row_norms, r, y=0.0, b=0):
     """Every integer u with |u_i - y_i| <= r ||row_i(V^-1)|| (plus 1e-9 for rounding).
 
     It holds every lattice point V u within r of x = V y, since u - y =
     V^-1 (V u - x) (Fincke & Pohst, Math. Comp. 44, 1985); inv_row_norms
-    are the ||row_i(V^-1)||. Rows come in lexicographic order, so about
-    y = 0 the row of -u mirrors that of u.
+    are the ||row_i(V^-1)||. It is widened to hold the integer point b (the
+    origin by default) where the rounding of y exceeds the pad. Rows come in
+    lexicographic order, so about y = 0 the row of -u mirrors that of u.
     The box is counted before it is built; above MAX_BOX_ROWS points
     EnumerationTooLargeError is raised. A box of one point is the row lo.
     """
     if len(inv_row_norms) > 4:
         raise UnsupportedDimensionError("lattice enumeration covers only n <= 4")
     half = inv_row_norms * r + 1e-9
-    lo = np.ceil(y - half)
-    widths = (np.floor(y + half) - lo + 1).tolist()
+    lo = np.minimum(np.ceil(y - half), b)
+    widths = (np.maximum(np.floor(y + half), b) - lo + 1).tolist()
     rows = math.prod(widths)
     if not rows <= MAX_BOX_ROWS:
         raise EnumerationTooLargeError(
@@ -245,7 +246,7 @@ def packing_density(V):
 class _Frame(NamedTuple):
     """Read-only factors of one validated basis V."""
 
-    R: np.ndarray  # cholesky(V^T V)^T, upper triangular with V = Q R
+    R: np.ndarray  # qr_upper(V)[1], upper triangular with V = Q R
     Vinv: np.ndarray
     inv_row_norms: np.ndarray  # ||row_i(V^-1)||, the certified box's scale
 
@@ -262,9 +263,9 @@ def _frame(V):
     The key is (shape, strides, bytes) of the float array, and the factors
     are computed from that very array: numpy's products can round differently
     on another memory layout, so an F-order basis and its C-order copy are
-    two keys. Whether V passes as_basis depends on the key alone, so a hit
-    skips the check; a basis that fails raises and is not cached. Products
-    with V itself stay with the caller, who passes V, not a cached copy.
+    two keys. Whether V passes qr_upper's as_basis depends on the key alone,
+    so a hit skips the check; a basis that fails raises and is not cached.
+    Products with V itself stay with the caller, who passes V, not a copy.
     """
     V = np.asarray(V, dtype=float)
     key = (V.shape, V.strides, V.tobytes())
@@ -273,8 +274,7 @@ def _frame(V):
         if frame is not None:
             _frames.move_to_end(key)
             return V, frame
-    V = as_basis(V)
-    R = np.linalg.cholesky(V.T @ V).T
+    _, R = qr_upper(V)
     Vinv = np.linalg.inv(V)
     frame = _Frame(R, Vinv, np.linalg.norm(Vinv, axis=1))
     for a in frame:
@@ -294,25 +294,32 @@ def _as_target(x, n):
     return x
 
 
+def _babai(frame, X, caller):
+    """V^-1 X and the nearest-plane coefficients of X, read in R's frame as Q^T x = R (V^-1 x)."""
+    Y = X @ frame.Vinv.T
+    return Y, checked_int64(_nearest_plane(frame.R, Y @ frame.R.T), X, caller)
+
+
 def cvp_bruteforce(V, x):
     """Exact closest lattice point for any basis (n <= 4), by certified enumeration.
 
     Every point at least as close as the nearest-plane point b lies in the box
     of radius r = |x - V b| around V^-1 x (Agrell, Eriksson, Vardy & Zeger,
     IEEE Trans. IT 48(8), 2002); r is padded by a relative 1e-9 to keep ties
-    inside. Ties go to the lexicographically smallest coefficient vector.
-    When the box holds b alone, b is returned without computing a distance.
+    inside, and the box holds b. Ties go to the lexicographically smallest
+    coefficient vector. A box of b alone returns b without computing a distance.
     A box of more than MAX_BOX_ROWS points raises EnumerationTooLargeError.
     """
     V, frame = _frame(V)
-    return _cvp(V, frame, _as_target(x, V.shape[0]))
+    return _cvp(V, frame, _as_target(x, V.shape[0]))[1]
 
 
 def _cvp(V, frame, x):
+    """The Babai distance |x - V b| and the closest LatticePoint to x."""
     if not np.isfinite(x).all():
         raise ValueError("cvp_bruteforce target must be finite")
-    y = frame.Vinv @ x
-    b = checked_int64(_nearest_plane(frame.R, frame.R @ y), x, "cvp_bruteforce")
+    y, b = _babai(frame, x, "cvp_bruteforce")
     d = x - V @ b
-    r = math.sqrt(d @ d) * (1.0 + 1e-9)
-    return _nearest_in_box(V, _certified_box(frame.inv_row_norms, r, y), x, r)
+    d_babai = math.sqrt(d @ d)
+    r = d_babai * (1.0 + 1e-9)
+    return d_babai, _nearest_in_box(V, _certified_box(frame.inv_row_norms, r, y, b), x, r)

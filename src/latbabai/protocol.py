@@ -20,7 +20,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .babai import nearest_plane
+from .babai import _check_upper, nearest_plane
 from .core import as_basis, checked_int64, qr_upper, round_half_up
 
 
@@ -66,13 +66,19 @@ class RationalProfile:
         return Fraction(self.p[(m, l)], self.den[(m, l)])
 
 
-def rationalize(upper, max_den: int = 10**6, tol: float = 1e-9) -> RationalProfile:
+# the largest denominator rationalize tries, and how far its fraction may miss
+MAX_DEN = 10**6
+RATIO_TOL = 1e-9
+
+
+def rationalize(upper) -> RationalProfile:
     """Fit every above-diagonal ratio r_ml / r_mm by continued fractions.
 
-    Raises IrrationalRatioError when the best fraction with denominator at
-    most max_den misses the ratio by more than tol.
+    upper must be square and upper triangular with a positive diagonal, or
+    ValueError is raised. Raises IrrationalRatioError when the best fraction
+    with denominator at most MAX_DEN misses the ratio by more than RATIO_TOL.
     """
-    R = np.asarray(upper, dtype=float)
+    R = _check_upper(upper)
     n = R.shape[0]
     p: Dict[Tuple[int, int], int] = {}
     den: Dict[Tuple[int, int], int] = {}
@@ -81,11 +87,11 @@ def rationalize(upper, max_den: int = 10**6, tol: float = 1e-9) -> RationalProfi
         row_dens = []
         for l in range(m + 1, n):
             ratio = R[m, l] / R[m, m]
-            frac = Fraction(ratio).limit_denominator(max_den)
-            if abs(float(frac) - ratio) > tol:
+            frac = Fraction(ratio).limit_denominator(MAX_DEN)
+            if abs(float(frac) - ratio) > RATIO_TOL:
                 raise IrrationalRatioError(
                     f"ratio r[{m},{l}]/r[{m},{m}] = {ratio!r} has no rational "
-                    f"fit with denominator <= {max_den}"
+                    f"fit with denominator <= {MAX_DEN}"
                 )
             p[(m, l)] = frac.numerator
             den[(m, l)] = frac.denominator
@@ -136,7 +142,8 @@ def fusion_decode(
     correction pushes x_m / r_mm across its rounding boundary. Messages carry
     one sample (int fields, result (n,)) or k samples (array fields, result
     (k, n)); the sums run in Python integers, and a coefficient outside int64
-    raises OverflowError instead of wrapping.
+    raises OverflowError instead of wrapping. upper is accepted but not read:
+    the profile holds all that the decode needs.
     """
     n = profile.n
     by_node = {}
@@ -232,9 +239,27 @@ def _varint_bits(k: int) -> int:
     return 8 * groups
 
 
-def run_centralized(
-    basis, x, alpha: float = 1.0, max_den: int = 10**6
-) -> ProtocolTrace:
+def _scaled_upper(basis, alpha: float, nodes) -> Tuple[np.ndarray, np.ndarray]:
+    """(V, alpha R) for one protocol run, R from qr_upper(V).
+
+    Every run checks here that alpha > 0, that the basis is valid, and that
+    nodes (the sources, or the coordinates of x) has one entry per node.
+    """
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    V = as_basis(basis)
+    if len(nodes) != V.shape[0]:
+        raise ValueError(f"need one source or coordinate per node: {len(nodes)} for {V.shape[0]} nodes")
+    return V, alpha * qr_upper(V)[1]
+
+
+def _sample_columns(sources: Sequence[SourceModel], samples: int, seed) -> np.ndarray:
+    """A (samples, n) matrix, column m drawn from sources[m], source by source from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    return np.column_stack([src.sample(rng, samples) for src in sources])
+
+
+def run_centralized(basis, x, alpha: float = 1.0) -> ProtocolTrace:
     """One round of the centralized protocol on the lattice alpha * V.
 
     The input basis is brought to canonical upper triangular form first, so
@@ -242,13 +267,9 @@ def run_centralized(
     is the wire size of the rounded coefficients as signed varints; side
     information is budgeted at its log2(q_m) bound.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    V = as_basis(basis)
-    _, R = qr_upper(V)
-    R = alpha * R
     x = np.asarray(x, dtype=float)
-    profile = rationalize(R, max_den=max_den)
+    _, R = _scaled_upper(basis, alpha, x)
+    profile = rationalize(R)
     messages = tuple(node_encode(m, x[m], R, profile) for m in range(profile.n))
     decoded = fusion_decode(messages, R, profile)
     wire = float(sum(_varint_bits(msg.b_tilde) for msg in messages))
@@ -272,7 +293,6 @@ def centralized_total_rate(
     sources: Sequence[SourceModel],
     basis,
     alpha: float,
-    profile: Optional[RationalProfile] = None,
     samples: int = 0,
     seed: Optional[int] = None,
 ) -> TotalRateReport:
@@ -287,27 +307,18 @@ def centralized_total_rate(
     rounded coefficients; samples=0 skips it, and any other count below 100
     raises ValueError, as in interactive_simulate.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    V, Rs = _scaled_upper(basis, alpha, sources)
     if samples:
         _check_entropy_samples(samples)
-    V = as_basis(basis)
     n = V.shape[0]
-    if len(sources) != n:
-        raise ValueError("need one source per node")
-    _, R = qr_upper(V)
-    if profile is None:
-        profile = rationalize(alpha * R)
-    side = profile.rate_bound_bits
+    side = rationalize(Rs).rate_bound_bits
     h_sum = sum(src.differential_entropy_bits for src in sources)
     det = abs(float(np.linalg.det(V)))
     bound = h_sum - math.log2(det) - n * math.log2(alpha) + side
 
     empirical = None
     if samples:
-        rng = np.random.default_rng(seed)
-        Rs = alpha * R
-        X = np.column_stack([src.sample(rng, samples) for src in sources])
+        X = _sample_columns(sources, samples, seed)
         bits = 0.0
         for m in range(n):
             # node_encode's rounded coefficient, without the unused side information
@@ -366,16 +377,9 @@ def interactive_rate_approximation(
     sources: Sequence[SourceModel], basis, alpha: float
 ) -> float:
     """High-resolution approximation (n-1) * sum_i (h_i - log2(alpha r_ii))."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    V = as_basis(basis)
-    _, R = qr_upper(V)
-    n = V.shape[0]
-    total = sum(
-        src.differential_entropy_bits - math.log2(alpha * R[i, i])
-        for i, src in enumerate(sources)
-    )
-    return float((n - 1) * total)
+    _, Rs = _scaled_upper(basis, alpha, sources)
+    total = sum(src.differential_entropy_bits - math.log2(Rs[i, i]) for i, src in enumerate(sources))
+    return float((len(sources) - 1) * total)
 
 
 def interactive_simulate(
@@ -395,19 +399,12 @@ def interactive_simulate(
     entropies; the conditionals telescope, so the sum is evaluated as
     differences of joint entropies of the trailing coefficient blocks.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _, Rs = _scaled_upper(basis, alpha, sources)
     _check_entropy_samples(samples)
-    V = as_basis(basis)
-    n = V.shape[0]
-    if len(sources) != n:
-        raise ValueError("need one source per node")
-    _, R = qr_upper(V)
-    Rs = alpha * R
+    n = Rs.shape[0]
 
-    rng = np.random.default_rng(seed)
     # no name holds the samples, so they are freed before the entropies
-    U = nearest_plane(Rs, np.column_stack([src.sample(rng, samples) for src in sources]))
+    U = nearest_plane(Rs, _sample_columns(sources, samples, seed))
 
     # H(U_i | U_{i+1..n}) = H(U_i..U_n) - H(U_{i+1}..U_n), summed over i
     joint_bits = [_plugin_entropy_bits(U[:, i:]) for i in range(n)] + [0.0]

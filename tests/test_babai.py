@@ -59,6 +59,8 @@ def test_nearest_plane_rejects_bad_triangles():
         nearest_plane(np.array([[1.0, 0.0], [0.5, 1.0]]), [0.0, 0.0])
     with pytest.raises(ValueError):
         nearest_plane(np.array([[1.0, 0.0], [0.0, -1.0]]), [0.0, 0.0])
+    with pytest.raises(ValueError, match="upper triangular"):
+        nearest_plane(2.0, [1.0])
 
 
 def test_nearest_plane_raises_outside_int64():

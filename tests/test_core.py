@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latbabai.babai import babai_point
+from latbabai.babai import babai_point, nearest_plane_general
 
 from latbabai.core import (
     MAX_BOX_ROWS,
@@ -148,11 +148,36 @@ def test_cvp_bruteforce_is_exact_on_skewed_bases(skew):
         assert d <= np.linalg.norm(x - babai_point(V, x).point) + 1e-12
 
 
+@pytest.mark.parametrize("shear", [1e2, 3e6, 1e7, 1e8])
+@pytest.mark.parametrize("name", ["square", "BCC_UNIT"])
+def test_sheared_bases_decode_lattice_points_and_refuse_or_find_the_closest(name, shear):
+    # V = B S with S = I + shear e_1 e_2^T spans the lattice of B, and
+    # cond(V) grows as shear^2: V u decodes to u, and a target whose
+    # coefficients lie within 1e-3 of integers gets B's closest point, S u,
+    # unless its certified box is too large to list
+    B = np.eye(2) if name == "square" else as_basis(BCC_UNIT)
+    S = np.eye(len(B))
+    S[0, 1] = shear
+    V = B @ S
+    rng = np.random.default_rng(59)
+    U = rng.integers(-5, 6, size=(40, len(B)))
+    for u in U:
+        assert babai_point(V, V @ u).coeffs.tolist() == u.tolist()
+        assert cvp_bruteforce(V, V @ u).coeffs.tolist() == u.tolist()
+    assert nearest_plane_general(V, U @ V.T).tolist() == U.tolist()
+    for u in U:
+        x = V @ (u + rng.uniform(-1e-3, 1e-3, len(B)))
+        try:
+            lp = cvp_bruteforce(V, x)
+        except EnumerationTooLargeError:
+            continue
+        assert (S @ lp.coeffs).tolist() == cvp_bruteforce(B, x).coeffs.tolist()
+
+
 def test_enumeration_refuses_a_box_over_the_size_cap():
     # {(1,0), (9e5,1)} spans Z^2, but about x = (1/2, 1/2) its certified box
     # is 1,272,793 by 2 points; counted before it is built, so this costs
-    # nothing where listing it would take about 41 MB. (A skew of 1e6 is
-    # refused earlier: as_basis calls det <= 1e-12 max|V_ij|^2 rank deficient.)
+    # nothing where listing it would take about 41 MB
     V = np.array([[1.0, 9e5], [0.0, 1.0]])
     with pytest.raises(EnumerationTooLargeError, match="reduce the basis") as err:
         cvp_bruteforce(V, np.array([0.5, 0.5]))

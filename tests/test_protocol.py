@@ -103,6 +103,13 @@ def test_rationalize_scale_invariance():
         assert rationalize(alpha * R) == rationalize(R)
 
 
+def test_rationalize_checks_its_generator():
+    # as nearest_plane does: square, upper triangular, positive diagonal
+    for bad in (np.ones((3, 2)), [[-1.0, 0.5], [0.0, 1.0]], [[1.0, 0.0], [0.5, 1.0]], 2.0):
+        with pytest.raises(ValueError, match="upper triangular"):
+            rationalize(np.array(bad))
+
+
 def test_rationalize_rejects_near_rational_trap():
     # 1/3 + 1e-8 sits in a Farey gap: no denominator <= 1e6 lands within 1e-9
     R = np.array([[1.0, 1.0 / 3.0 + 1e-8], [0.0, 1.0]])
@@ -423,6 +430,9 @@ def test_run_centralized_trace():
     assert trace.scale == 1.0
     with pytest.raises(ValueError):
         run_centralized(HEXAGONAL_2D, x, alpha=0.0)
+    # a coordinate too many is refused, not cut to the first n
+    with pytest.raises(ValueError, match="per node"):
+        run_centralized(HEXAGONAL_2D, [0.1, 0.2, 0.3])
 
 
 def test_centralized_total_rate_bound_formula():
@@ -497,6 +507,26 @@ def test_interactive_simulate_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= INTERACTIVE_PEAK_BYTES
+
+
+# each protocol run on BCC_UNIT, given k sources (or coordinates of x) and alpha
+PROTOCOL_RUNS = {
+    "run_centralized": lambda k, alpha: run_centralized(BCC_UNIT, [0.1, 0.2, 0.3, 0.4][:k], alpha),
+    "centralized_total_rate": lambda k, alpha: centralized_total_rate([uniform_source()] * k, BCC_UNIT, alpha),
+    "interactive_rate_approximation": lambda k, alpha: interactive_rate_approximation(
+        [uniform_source()] * k, BCC_UNIT, alpha
+    ),
+    "interactive_simulate": lambda k, alpha: interactive_simulate([uniform_source()] * k, BCC_UNIT, alpha, 200),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOL_RUNS))
+def test_protocol_runs_need_positive_alpha_and_one_entry_per_node(name):
+    run = PROTOCOL_RUNS[name]
+    run(3, 0.0625)
+    for k, alpha in ((1, 0.0625), (2, 0.0625), (4, 0.0625), (3, 0.0), (3, -1.0)):
+        with pytest.raises(ValueError, match="alpha|per node"):
+            run(k, alpha)
 
 
 def test_interactive_simulate_guards():
