@@ -25,7 +25,7 @@ def _below_diagonal(n):
 def _check_upper(R):
     R = np.asarray(R, dtype=float)
     n = R.shape[0] if R.ndim else 0
-    if R.shape != (n, n) or (np.abs(R[_below_diagonal(n)]) > 1e-10 * max(1.0, np.abs(R).max())).any():
+    if R.shape != (n, n) or (np.abs(R[_below_diagonal(n)]) > 1e-10 * np.abs(R).max()).any():
         raise ValueError("expected an upper triangular generator matrix")
     if (R.diagonal() <= 0).any():
         raise ValueError("upper triangular generator needs a positive diagonal")

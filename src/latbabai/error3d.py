@@ -425,9 +425,40 @@ def summarize_scan(records):
     return out
 
 
-# samples per Monte Carlo chunk; the (|P| x chunk) margin buffer of a 3D exemplar
-# (7 to 13 competitors) takes 1 to 2 MB
+# samples per Monte Carlo chunk; the (|P| x chunk) buffer holds at most one
+# competitor per nonzero coset of L/2L, so at most 7 x 2**14 doubles (0.9 MB)
 MC_CHUNK = 1 << 14
+
+
+def _mc_competitors(R, h):
+    """Rows p of R's frame that can beat the origin in the box |x_i| <= h_i, and |p|^2 (1 + 1e-12) / 2.
+
+    Every lattice point nearer than the origin to a point of the box lies in
+    the half ball out to twice the box's circumradius. Of it, p is kept when
+    +-p is the unique shortest pair of its nonzero coset u mod 2, which makes
+    p Voronoi-relevant (a coset tied within a relative 1e-12 holds no
+    relevant vector), and when its halfspace does not hold the whole box:
+    sum_i |p_i| h_i (1 + 1e-15) > |p|^2 (1 + 1e-12) / 2, the 1e-15 covering
+    the rounding of x.p.
+    """
+    n = len(h)
+    radius = 2.0 * float(np.linalg.norm(h)) * (1.0 + 1e-9)
+    U = _certified_box(np.linalg.norm(np.linalg.inv(R), axis=1), radius)
+    # the box lists -u in mirror position to u, so the rows after its
+    # central zero hold one vector of each pair
+    U = U[len(U) // 2 + 1 :]
+    P = U @ R.T
+    norm2 = np.einsum("ij,ij->i", P, P)
+    coset = (U & 1) @ (1 << np.arange(n))
+    keep = []
+    for c in range(1, 1 << n):
+        (rows,) = np.nonzero((coset == c) & (norm2 <= radius * radius))
+        if len(rows) and np.count_nonzero(norm2[rows] <= norm2[rows].min() * (1.0 + 1e-12)) == 1:
+            keep.append(rows[np.argmin(norm2[rows])])
+    P, norm2 = P[keep], norm2[keep]
+    half = 0.5 * (norm2 * (1.0 + 1e-12))
+    fires = np.abs(P) @ h * (1.0 + 1e-15) > half
+    return P[fires], half[fires]
 
 
 def mc_pe_oracle(basis, samples, seed=None):
@@ -437,10 +468,13 @@ def mc_pe_oracle(basis, samples, seed=None):
     counts how often some nonzero lattice point lies strictly closer than the
     origin. Any such competitor has norm at most twice the sampled point's,
     so enumerating lattice points out to twice the cell circumradius is
-    exhaustive. That ball is symmetric, so one vector of each pair +-p is
-    kept, and x counts as nearer to one of them than to the origin when
-    |p|^2 (1 + 1e-12) - 2|x.p| < 0: the relative margin keeps ties out at
-    any scale, as does the relative pad of the radius. Samples are drawn and
+    exhaustive; of those, _mc_competitors keeps the Voronoi-relevant pairs
+    whose halfspace the cell crosses, one vector of each pair +-p. x counts
+    as nearer to p than to the origin when |x.p| > |p|^2 (1 + 1e-12) / 2,
+    the same decision as |p|^2 (1 + 1e-12) - 2|x.p| < 0 in IEEE arithmetic:
+    the relative margin keeps ties out at any scale, as does the relative
+    pad of the radius. With no competitor left (an orthogonal basis, n = 1)
+    the estimate is 0 and nothing is drawn. Otherwise samples are drawn and
     tested MC_CHUNK at a time in one reused buffer; every double takes one
     word of the generator's stream, so the chunking does not change which
     points are drawn.
@@ -454,26 +488,21 @@ def mc_pe_oracle(basis, samples, seed=None):
         raise ValueError("samples must be positive")
     _, R = qr_upper(V)
     h = 0.5 * np.diag(R)
-    radius = 2.0 * float(np.linalg.norm(h)) * (1.0 + 1e-9)
-    U = _certified_box(np.linalg.norm(np.linalg.inv(R), axis=1), radius)
-    # the box lists -u in mirror position to u, so the rows after its
-    # central zero hold one vector of each pair
-    P = U[len(U) // 2 + 1 :] @ R.T
-    P = P[np.einsum("ij,ij->i", P, P) <= radius * radius]
-    limit = np.einsum("ij,ij->i", P, P) * (1.0 + 1e-12)
+    P, half = _mc_competitors(R, h)
+    if not len(P):
+        return 0.0, 0.0
+    half = half[:, None]
     rng = np.random.default_rng(seed)
     buf = np.empty(len(P) * min(MC_CHUNK, samples))
     errors = 0
     for start in range(0, samples, MC_CHUNK):
         X = rng.uniform(-1.0, 1.0, size=(min(MC_CHUNK, samples - start), n))
         X *= h
-        # one row per competitor, so the minimum runs down contiguous rows
-        margin = buf[: len(P) * len(X)].reshape(len(P), len(X))
-        np.matmul(P, X.T, out=margin)
-        np.abs(margin, out=margin)
-        margin *= 2.0
-        np.subtract(limit[:, None], margin, out=margin)
-        errors += int(np.count_nonzero(margin.min(axis=0) < 0.0))
+        # one row per competitor, so the test runs down contiguous rows
+        dot = buf[: len(P) * len(X)].reshape(len(P), len(X))
+        np.matmul(P, X.T, out=dot)
+        np.abs(dot, out=dot)
+        errors += int(np.count_nonzero((dot > half).any(axis=0)))
     p = errors / samples
     return p, float(np.sqrt(p * (1.0 - p) / samples))
 

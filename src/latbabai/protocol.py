@@ -268,6 +268,8 @@ def run_centralized(basis, x, alpha: float = 1.0) -> ProtocolTrace:
     information is budgeted at its log2(q_m) bound.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"need one coordinate per node in a 1-D x, got shape {x.shape}")
     _, R = _scaled_upper(basis, alpha, x)
     profile = rationalize(R)
     messages = tuple(node_encode(m, x[m], R, profile) for m in range(profile.n))
@@ -341,9 +343,10 @@ def _plugin_entropy_bits(rows: np.ndarray) -> float:
     shifted by their minimum, first column most significant. Where the radix
     product would reach 2**64, the running key is first replaced by its
     dense rank, and so is a column whose own range does not fit beside it.
-    The sorted keys order the rows lexicographically, as
-    `np.unique(rows, axis=0)` does, so the counts, and with them the summed
-    bits, come in the same order.
+    The keys order the rows lexicographically, as `np.unique(rows, axis=0)`
+    does, so the counts, and with them the summed bits, come in the same
+    order: by np.bincount when the radix is at most the number of rows,
+    else as the runs of the sorted keys.
     """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
@@ -366,9 +369,14 @@ def _plugin_entropy_bits(rows: np.ndarray) -> float:
             span = int(digit.max()) + 1
         key = key * np.uint64(span) + digit
         radix *= span
-    key.sort()
-    edges = np.flatnonzero(key[1:] != key[:-1]) + 1
-    counts = np.diff(edges, prepend=0, append=len(key))
+    if radix <= len(key):
+        # nonzero bins come in increasing key order, the order of sorted runs
+        counts = np.bincount(key.view(np.int64))
+        counts = counts[counts > 0]
+    else:
+        key.sort()
+        edges = np.flatnonzero(key[1:] != key[:-1]) + 1
+        counts = np.diff(edges, prepend=0, append=len(key))
     freq = counts / counts.sum()
     return float(-(freq * np.log2(freq)).sum())
 

@@ -32,6 +32,7 @@ from latbabai.core import (
     volume,
 )
 from latbabai.lattices import BCC_UNIT, FCC, HEXA_RHOMBIC, HEXAGONAL_2D
+from latbabai.protocol import rationalize
 
 DECODE_LATTICES = (HEXAGONAL_2D, BCC_UNIT, FCC, HEXA_RHOMBIC)
 
@@ -61,6 +62,21 @@ def test_nearest_plane_rejects_bad_triangles():
         nearest_plane(np.array([[1.0, 0.0], [0.0, -1.0]]), [0.0, 0.0])
     with pytest.raises(ValueError, match="upper triangular"):
         nearest_plane(2.0, [1.0])
+
+
+def test_the_triangle_check_does_not_depend_on_the_scale():
+    # the lower triangle is measured against R's largest entry, so 0.5e-12
+    # below a diagonal of 1e-12 is as far from triangular as 0.5 below 1
+    tiny = 1e-12 * np.array([[1.0, 0.0], [0.5, 1.0]])
+    with pytest.raises(ValueError, match="upper triangular"):
+        nearest_plane(tiny, [3e-12, 1e-12])
+    with pytest.raises(ValueError, match="upper triangular"):
+        rationalize(tiny)
+    rng = np.random.default_rng(4)
+    for V in DECODE_LATTICES:
+        R = qr_upper(V)[1]
+        X = rng.uniform(-3.0, 3.0, size=(200, len(R))) @ R.T
+        assert np.array_equal(nearest_plane(2.0**-40 * R, 2.0**-40 * X), nearest_plane(R, X))
 
 
 def test_nearest_plane_raises_outside_int64():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latbabai.core import UnsupportedDimensionError, as_basis, packing_density, volume
+from latbabai import error3d
+from latbabai.core import UnsupportedDimensionError, _certified_box, as_basis, packing_density, qr_upper, volume
 from latbabai.error2d import DENSITY_2D_MAX, pe_density_form
 from latbabai.error3d import (
     ORDERING_TIE_TOL,
@@ -23,7 +24,7 @@ from latbabai.error3d import (
     voronoi_cell_3d,
     voronoi_vertices_conorm_formula,
 )
-from latbabai.error3d import _pe_stack, _scan_one, _scan_records, _scan_sample
+from latbabai.error3d import _mc_competitors, _pe_stack, _scan_one, _scan_records, _scan_sample
 from latbabai.lattices import (
     BCC,
     BCC_UNIT,
@@ -429,8 +430,9 @@ def test_mc_pe_oracle_exact_cases():
     assert abs(pe_f - pe_3d(FCC, search_orderings=False).pe) < 4 * se_f
 
 
-# (estimate, se) of mc_pe_oracle as float.hex, recorded from the full-ball,
-# 2**16-row implementation; the sample counts are not multiples of any chunk
+# (estimate, se) of mc_pe_oracle as float.hex, recorded from the full-ball
+# implementation (2**16 rows per chunk for the exemplars, 2**14 for the
+# sampled and sheared bases); the sample counts are not multiples of any chunk
 MC_PINS = {
     ("cubic", 200_001, 11): ("0x0.0p+0", "0x0.0p+0"),
     ("cubic", 70_000, 12): ("0x0.0p+0", "0x0.0p+0"),
@@ -446,8 +448,18 @@ MC_PINS = {
     ("hexagonal_2d", 70_000, 12): ("0x1.5335128c8d22fp-4", "0x1.1111a0a20e5f7p-10"),
     ("line_1d", 200_001, 11): ("0x0.0p+0", "0x0.0p+0"),
     ("line_1d", 70_000, 12): ("0x0.0p+0", "0x0.0p+0"),
+    ("sampler_seed_0", 200_001, 11): ("0x1.dfed091e0d8f7p-5", "0x1.1351badf0e7ebp-11"),
+    ("sampler_seed_0", 70_000, 12): ("0x1.db22d0e560419p-5", "0x1.cf30f5b2a19f0p-11"),
+    ("bcc_sheared", 200_001, 11): ("0x1.2a7e980b9a13ap-3", "0x1.9daa779e7bbb8p-11"),
+    ("bcc_sheared", 70_000, 12): ("0x1.2581f5d18a270p-3", "0x1.5b2c6206ef278p-10"),
 }
-MC_BASES = {**KNOWN_LATTICES, "hexagonal_2d": HEXAGONAL_2D, "line_1d": np.array([[1.5]])}
+MC_BASES = {
+    **KNOWN_LATTICES,
+    "hexagonal_2d": HEXAGONAL_2D,
+    "line_1d": np.array([[1.5]]),
+    "sampler_seed_0": random_reduced_superbase(rng_seed=0)[0],
+    "bcc_sheared": np.asarray(BCC_UNIT) @ np.array([[1.0, 3.0, -2.0], [0.0, 1.0, 4.0], [0.0, 0.0, 1.0]]),
+}
 
 
 @pytest.mark.parametrize("name, samples, seed", sorted(MC_PINS))
@@ -463,6 +475,90 @@ def test_mc_pe_oracle_does_not_depend_on_the_scale(name):
     expected = mc_pe_oracle(MC_BASES[name], 20_000, seed=3)
     for k in (-40, -20, -1, 1, 20, 40):
         assert mc_pe_oracle(2.0**k * MC_BASES[name], 20_000, seed=3) == expected
+
+
+def _full_ball_oracle(basis, samples, seed=None):
+    # mc_pe_oracle before it kept only the relevant pairs that reach the
+    # box: every vector of the half ball is a competitor (168 on the long
+    # prism at L = 10), so it draws 2**10 rows at a time, which takes the
+    # same words of the stream as any other chunking
+    V = as_basis(basis)
+    n = V.shape[0]
+    _, R = qr_upper(V)
+    h = 0.5 * np.diag(R)
+    radius = 2.0 * float(np.linalg.norm(h)) * (1.0 + 1e-9)
+    U = _certified_box(np.linalg.norm(np.linalg.inv(R), axis=1), radius)
+    P = U[len(U) // 2 + 1 :] @ R.T
+    P = P[np.einsum("ij,ij->i", P, P) <= radius * radius]
+    limit = np.einsum("ij,ij->i", P, P) * (1.0 + 1e-12)
+    rng = np.random.default_rng(seed)
+    errors = 0
+    for start in range(0, samples, 1 << 10):
+        X = rng.uniform(-1.0, 1.0, size=(min(1 << 10, samples - start), n))
+        X *= h
+        margin = limit[:, None] - 2.0 * np.abs(P @ X.T)
+        errors += int(np.count_nonzero(margin.min(axis=0) < 0.0))
+    p = errors / samples
+    return p, float(np.sqrt(p * (1.0 - p) / samples))
+
+
+def _sheared(V, seed, steps):
+    # V times a unimodular matrix of `steps` elementary column operations
+    rng = np.random.default_rng(seed)
+    U = np.eye(3)
+    for _ in range(steps):
+        i, j = rng.choice(3, 2, replace=False)
+        U[:, i] += rng.choice((-1.0, 1.0)) * U[:, j]
+    return V @ U
+
+
+def _competitors(V):
+    _, R = qr_upper(as_basis(V))
+    return _mc_competitors(R, 0.5 * np.diag(R))[0]
+
+
+PRUNING_CASES = {
+    **{f"seed {s}": random_reduced_superbase(rng_seed=s)[0] for s in range(6)},
+    **{f"seed {s} sheared": _sheared(random_reduced_superbase(rng_seed=s)[0], s, 2 + s % 5) for s in range(6, 12)},
+    "long prism": _long_prism(10.0),
+    "skewed 2D": np.array([[1.0, 40.0], [0.0, 1.0]]),
+    "skewed 2D, transposed": np.array([[1.0, 0.0], [40.0, 1.0]]),
+    "seed 3 times 2**-30": 2.0**-30 * random_reduced_superbase(rng_seed=3)[0],
+    "line": np.array([[1.5]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRUNING_CASES))
+def test_mc_pe_oracle_matches_the_full_ball_bit_for_bit(name):
+    V = PRUNING_CASES[name]
+    assert mc_pe_oracle(V, 30_001, seed=7) == _full_ball_oracle(V, 30_001, seed=7)
+
+
+def test_mc_pe_oracle_keeps_the_relevant_pairs_that_reach_the_box():
+    # a generic cell has 7 relevant pairs, and the halfspace of v_1, which
+    # spans the first box axis, holds the whole box; the exemplars keep 17
+    # of the 47 vectors of their half balls, and HEXAGONAL_2D 2 of 3
+    for s in range(6):
+        assert len(_competitors(random_reduced_superbase(rng_seed=s)[0])) == 6
+    kept = {name: len(_competitors(V)) for name, V in KNOWN_LATTICES.items()}
+    assert kept == {
+        "cubic": 0,
+        "hexagonal_prism": 2,
+        "hexa_rhombic_dodecahedron": 5,
+        "fcc": 4,
+        "bcc": 6,
+    }
+    assert len(_competitors(HEXAGONAL_2D)) == 2
+
+
+@pytest.mark.parametrize("V", [CUBIC_3D, np.diag([1.0, 3.0]), np.array([[1.5]])], ids=["cubic", "diagonal 2D", "line"])
+def test_mc_pe_oracle_returns_zero_without_drawing(V, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr(error3d.np.random, "default_rng", no_draws)
+    assert len(_competitors(V)) == 0
+    assert mc_pe_oracle(V, 50_000, seed=1) == (0.0, 0.0)
 
 
 def test_mc_pe_oracle_guards():

@@ -527,6 +527,10 @@ def test_protocol_runs_need_positive_alpha_and_one_entry_per_node(name):
     for k, alpha in ((1, 0.0625), (2, 0.0625), (4, 0.0625), (3, 0.0), (3, -1.0)):
         with pytest.raises(ValueError, match="alpha|per node"):
             run(k, alpha)
+    if name == "run_centralized":
+        # three coordinates, but not one per node
+        with pytest.raises(ValueError, match=r"per node.*shape \(3, 2\)"):
+            run_centralized(BCC_UNIT, np.zeros((3, 2)))
 
 
 def test_interactive_simulate_guards():
