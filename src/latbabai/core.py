@@ -10,6 +10,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -27,12 +28,12 @@ class UnsupportedDimensionError(ValueError):
 
 
 class EnumerationTooLargeError(ValueError):
-    """A certified enumeration box holds more than MAX_BOX_ROWS points; the
-    box grows with the skew of the basis, so reduce the basis first."""
+    """The closest-point search passed SEARCH_NODE_LIMIT nodes; a short column
+    after longer ones widens it, so order the columns shortest first."""
 
 
 class EnumerationWindowWarning(UserWarning):
-    """Never raised: every enumeration searches a certified box. Kept for warning filters."""
+    """Never raised: every enumeration is an exact search. Kept for warning filters."""
 
 
 @dataclass(frozen=True)
@@ -86,12 +87,6 @@ def lattice_from_json(source):
     if not isinstance(n, int) or len(cols) != n or any(len(c) != n for c in cols):
         raise ValueError(f"lattice JSON inconsistent: n={n}, columns={cols!r}")
     return basis_from_columns(cols)
-
-
-def lattice_to_json(V):
-    """Inverse of lattice_from_json."""
-    V = as_basis(V)
-    return {"n": V.shape[0], "columns": [list(map(float, c)) for c in V.T]}
 
 
 def gram(V):
@@ -155,53 +150,80 @@ def unit_volume_normalize(V):
     return V / volume(V) ** (1.0 / V.shape[0])
 
 
-# points in the largest certified box: 2**20 rows of n = 4 int64 coefficients
-# take 32 MB, while the decode lattices' boxes hold at most 8 points
-MAX_BOX_ROWS = 2**20
+# nodes one closest-point search may visit before it refuses, about 0.1 s;
+# a query on the decode lattices visits at most 8, a reduced long one about 4
+SEARCH_NODE_LIMIT = 2**15
 
 
-def _certified_box(inv_row_norms, r, y=0.0, b=0):
-    """Every integer u with |u_i - y_i| <= r ||row_i(V^-1)|| (plus 1e-9 for rounding).
+def _excess(u, terms, m, best):
+    """How far the leaves under the node u[m:] lie beyond the leaf best, and their tie window.
 
-    It holds every lattice point V u within r of x = V y, since u - y =
-    V^-1 (V u - x) (Fincke & Pohst, Math. Comp. 44, 1985); inv_row_norms
-    are the ||row_i(V^-1)||. It is widened to hold the integer point b (the
-    origin by default) where the rounding of y exceeds the pad. Rows come in
-    lexicographic order, so about y = 0 the row of -u mirrors that of u.
-    The box is counted before it is built; above MAX_BOX_ROWS points
-    EnumerationTooLargeError is raised. A box of one point is the row lo.
+    Leaves are compared on the levels at and below the highest level k where
+    they differ, since the levels above hold the same terms bit for bit:
+    (term_k - best's) + (the terms of levels m..k-1 - best's sum below k),
+    exact for a leaf (m = 0) and a lower bound under a node. The window is a
+    relative 1e-12 of those terms, the lattice's spacing, not of |t - R u|^2.
     """
-    if len(inv_row_norms) > 4:
-        raise UnsupportedDimensionError("lattice enumeration covers only n <= 4")
-    half = inv_row_norms * r + 1e-9
-    lo = np.minimum(np.ceil(y - half), b)
-    widths = (np.maximum(np.floor(y + half), b) - lo + 1).tolist()
-    rows = math.prod(widths)
-    if not rows <= MAX_BOX_ROWS:
-        raise EnumerationTooLargeError(
-            f"certified enumeration box of {rows:.4g} points ({' x '.join(f'{w:.0f}' for w in widths)}) "
-            f"exceeds {MAX_BOX_ROWS}; reduce the basis first (e.g. Lagrange-Gauss or Selling reduction)"
-        )
-    lo = lo.astype(np.int64)
-    if rows == 1:
-        return lo[None]
-    return np.array(np.unravel_index(np.arange(int(rows)), [int(w) for w in widths])).T + lo
+    bu, bterms, blows = best
+    k = next((j for j in range(len(bu) - 1, m, -1) if u[j] != bu[j]), m)
+    low = sum(terms[m:k])
+    dt = terms[k] - bterms[k]
+    return dt + (low - blows[k]), 1e-12 * (abs(dt) + low + blows[k])
 
 
-def _nearest_in_box(V, U, x, r):
-    """Nearest lattice point to x among rows U of a box of radius r.
+def _search(R, t, skip_origin=False):
+    """Coefficients u of every near-minimizer of |t - R u| over the integers, as tuples.
 
-    The first row within 1e-12 r^2 of the minimal squared distance wins, a
-    window that scales with the lattice; a box of one row is its own answer.
+    The depth-first search of Schnorr & Euchner (Math. Programming 66, 1994)
+    in the form of Agrell, Eriksson, Vardy & Zeger (IEEE Trans. IT 48(8),
+    2002), for R upper triangular. Level m, from the last coefficient down,
+    zig-zags about c_m = (t_m - sum_{l>m} R_ml u_l) / R_mm, so the first leaf
+    is the nearest-plane point; a leaf's squared distance is the sum of its
+    terms (R_mm (c_m - u_m))^2. A leaf ties the best one within _excess's
+    window, and a branch is cut once its excess passes the window.
+    skip_origin leaves out u = 0. Past SEARCH_NODE_LIMIT nodes it raises.
     """
-    if len(U) == 1:
-        u = U[0]
-    else:
-        D = U @ V.T - x
-        d2 = np.einsum("ij,ij->i", D, D)
-        # a copy, so that the answer does not keep the whole box alive
-        u = U[np.argmax(d2 <= d2.min() + 1e-12 * r * r)].copy()
-    return LatticePoint(coeffs=u, point=V @ u)
+    n = len(R)
+    R, t = R.tolist(), t.tolist()
+    u, terms = [0] * n, [0.0] * n
+    leaves, best, nodes = [], None, 0
+
+    def level(m):
+        nonlocal best, nodes
+        row = R[m]
+        c = (t[m] - sum(row[l] * u[l] for l in range(m + 1, n))) / row[m]
+        v = math.floor(c + 0.5)
+        step = 1 if c >= v else -1
+        while True:
+            u[m] = v
+            terms[m] = (row[m] * (c - v)) ** 2
+            over, window = _excess(u, terms, m, best) if best else (-1.0, 0.0)
+            if over > window:
+                return
+            nodes += 1
+            if nodes > SEARCH_NODE_LIMIT:
+                diagonal = ", ".join(f"{r[i]:.3g}" for i, r in enumerate(R))
+                raise EnumerationTooLargeError(
+                    f"closest-point search passed {SEARCH_NODE_LIMIT} nodes; R has diagonal ({diagonal}), "
+                    "and a short column after longer ones widens the search: "
+                    "order the columns shortest first, or reduce the basis"
+                )
+            if m:
+                level(m - 1)
+            elif any(u) or not skip_origin:
+                leaves.append((tuple(u), terms[:], list(accumulate(terms, initial=0.0))))
+                if over < 0.0:
+                    best = leaves[-1]
+            v += step
+            step = -step - 1 if step > 0 else 1 - step
+
+    level(n - 1)
+    ties = []
+    for w, wterms, _ in leaves:
+        over, window = _excess(w, wterms, 0, best)
+        if over <= window:
+            ties.append(w)
+    return ties
 
 
 def _nearest_plane(R, T):
@@ -215,19 +237,44 @@ def _nearest_plane(R, T):
 
 
 def shortest_vector(V):
-    """Shortest nonzero lattice vector by certified enumeration.
+    """Shortest nonzero lattice vector, by the closest-point search about 0 without the origin.
 
-    Any nonzero vector of norm <= min_j ||v_j|| lies in the certified box of
-    that radius around 0, so enumerating the box is exact. Ties are resolved
-    to the lexicographically smallest coefficient vector.
+    Ties go to the lexicographically smallest coefficient vector.
     """
     return _shortest_vector(as_basis(V))
 
 
 def _shortest_vector(V):
-    bound = float(np.sqrt((V.T @ V).diagonal().min()))
-    U = _certified_box(np.linalg.norm(np.linalg.inv(V), axis=1), bound)
-    return _nearest_in_box(V, U[np.any(U != 0, axis=1)], 0.0, bound)
+    _check_enumeration(len(V))
+    # R of V = Q R without Q; the search does not need its diagonal positive
+    u = np.array(min(_search(np.linalg.qr(V, mode="r"), np.zeros(len(V)), skip_origin=True)), dtype=np.int64)
+    return LatticePoint(coeffs=u, point=V @ u)
+
+
+def _check_enumeration(n):
+    if n > 4:
+        raise UnsupportedDimensionError("lattice enumeration covers only n <= 4")
+
+
+def _relevant_vectors(R):
+    """One vector p = R c of each Voronoi-relevant pair +-p, the first nonzero c_i positive.
+
+    By Voronoi's theorem p is relevant when +-p is the unique shortest pair
+    of its coset c mod 2 (Conway & Sloane, SPLAG ch. 21). The shortest
+    vectors of the nonzero coset u in {0,1}^n are u + 2w for the w nearest
+    to -u/2, so one search per coset finds them, and a coset with more than
+    one tied pair holds no relevant vector. Rows come in the order of the
+    cosets, sum_i u_i 2^i.
+    """
+    n = len(R)
+    C = []
+    for coset in range(1, 1 << n):
+        u = np.array([(coset >> i) & 1 for i in range(n)])
+        ties = _search(R, R @ (-0.5 * u))
+        if len(ties) == 2:
+            c = (u + 2 * np.array(ties[0])).tolist()
+            C.append(max(c, [-x for x in c]))
+    return np.array(C, dtype=np.int64).reshape(-1, n) @ R.T
 
 
 _BALL_VOLUME = {1: lambda r: 2.0 * r, 2: lambda r: np.pi * r**2, 3: lambda r: 4.0 * np.pi * r**3 / 3.0}
@@ -248,7 +295,9 @@ class _Frame(NamedTuple):
 
     R: np.ndarray  # qr_upper(V)[1], upper triangular with V = Q R
     Vinv: np.ndarray
-    inv_row_norms: np.ndarray  # ||row_i(V^-1)||, the certified box's scale
+    # (lambda_1 / 2)^2, shrunk by a relative 1e-9: a target nearer than the
+    # packing radius to its nearest-plane point has no other closest point
+    packing2: float
 
 
 # bases whose frames are kept; the decode stream cycles through 4
@@ -276,8 +325,9 @@ def _frame(V):
             return V, frame
     _, R = qr_upper(V)
     Vinv = np.linalg.inv(V)
-    frame = _Frame(R, Vinv, np.linalg.norm(Vinv, axis=1))
-    for a in frame:
+    shortest = R @ _search(R, np.zeros(len(R)), skip_origin=True)[0]
+    frame = _Frame(R, Vinv, 0.25 * float(shortest @ shortest) * (1.0 - 1e-9))
+    for a in frame[:2]:
         a.flags.writeable = False
     with _frames_lock:
         _frames[key] = frame
@@ -295,20 +345,19 @@ def _as_target(x, n):
 
 
 def _babai(frame, X, caller):
-    """V^-1 X and the nearest-plane coefficients of X, read in R's frame as Q^T x = R (V^-1 x)."""
-    Y = X @ frame.Vinv.T
-    return Y, checked_int64(_nearest_plane(frame.R, Y @ frame.R.T), X, caller)
+    """Q^T X = R (V^-1 X) and the nearest-plane coefficients of X."""
+    T = X @ frame.Vinv.T @ frame.R.T
+    return T, checked_int64(_nearest_plane(frame.R, T), X, caller)
 
 
 def cvp_bruteforce(V, x):
-    """Exact closest lattice point for any basis (n <= 4), by certified enumeration.
+    """Exact closest lattice point for any basis (n <= 4), by the closest-point search.
 
-    Every point at least as close as the nearest-plane point b lies in the box
-    of radius r = |x - V b| around V^-1 x (Agrell, Eriksson, Vardy & Zeger,
-    IEEE Trans. IT 48(8), 2002); r is padded by a relative 1e-9 to keep ties
-    inside, and the box holds b. Ties go to the lexicographically smallest
-    coefficient vector. A box of b alone returns b without computing a distance.
-    A box of more than MAX_BOX_ROWS points raises EnumerationTooLargeError.
+    The search (_search) runs in R's frame, where Q^T x = R (V^-1 x), and
+    ties go to the lexicographically smallest coefficient vector. A target
+    nearer to its nearest-plane point b than the packing radius has no other
+    closest point, so b is returned without searching. A search past
+    SEARCH_NODE_LIMIT nodes raises EnumerationTooLargeError.
     """
     V, frame = _frame(V)
     return _cvp(V, frame, _as_target(x, V.shape[0]))[1]
@@ -318,8 +367,10 @@ def _cvp(V, frame, x):
     """The Babai distance |x - V b| and the closest LatticePoint to x."""
     if not np.isfinite(x).all():
         raise ValueError("cvp_bruteforce target must be finite")
-    y, b = _babai(frame, x, "cvp_bruteforce")
+    _check_enumeration(len(x))
+    t, b = _babai(frame, x, "cvp_bruteforce")
     d = x - V @ b
-    d_babai = math.sqrt(d @ d)
-    r = d_babai * (1.0 + 1e-9)
-    return d_babai, _nearest_in_box(V, _certified_box(frame.inv_row_norms, r, y, b), x, r)
+    d2 = d @ d
+    if d2 >= frame.packing2:
+        b = np.array(min(_search(frame.R, t)), dtype=np.int64)
+    return math.sqrt(d2), LatticePoint(coeffs=b, point=V @ b)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _certified_box, as_basis, qr_upper, volume
+from .core import _relevant_vectors, as_basis, qr_upper, volume
 from .polytope import (
     Polygon2D,
     box_halfspaces,
@@ -64,18 +64,6 @@ def _as_rb(rb):
     return ReducedBasis2D(a, b)
 
 
-def relevant_vectors_2d(rb):
-    """The three relevant vector pairs' representatives: (1,0), (a,b), and a third.
-
-    The third is (a-1, b) when theta <= pi/2 and (a+1, b) otherwise; at
-    theta = pi/2 both lattices' cells are rectangles and the first branch is
-    used by convention.
-    """
-    rb = _as_rb(rb)
-    third = np.array([rb.a - 1.0, rb.b]) if rb.theta <= np.pi / 2 else np.array([rb.a + 1.0, rb.b])
-    return np.array([[1.0, 0.0], [rb.a, rb.b], third])
-
-
 def voronoi_polygon_2d(rb):
     """Voronoi cell of the lattice of rb: a hexagon, degenerating to a rectangle at a = 0.
 
@@ -108,15 +96,10 @@ def pe_closed_form(rb):
 
 
 def _voronoi_halfplanes(R):
-    """Bisector halfplanes of all lattice vectors within twice the covering bound."""
-    # 2 * (half box diagonal) bounds 2 * covering radius; both pads are
-    # relative, so the lattice's scale does not change which vectors count
-    radius = float(np.linalg.norm(np.diag(R))) * (1.0 + 1e-9)
-    U = _certified_box(np.linalg.norm(np.linalg.inv(R), axis=1), radius)
-    W = U[np.any(U != 0, axis=1)] @ R.T
-    norms2 = np.einsum("ij,ij->i", W, W)
-    keep = norms2 <= radius * radius * (1.0 + 1e-9)
-    return W[keep], 0.5 * norms2[keep]
+    """Bisector halfplanes of the Voronoi-relevant vectors, both of each pair."""
+    P = _relevant_vectors(R)
+    N = np.vstack([P, -P])
+    return N, 0.5 * np.einsum("ij,ij->i", N, N)
 
 
 def pe_geometric_2d(V):
@@ -210,7 +193,6 @@ def level_curve_data(pe_values=LEVEL_CURVE_DEFAULT_KS, grid=200, b_max=2.0):
 __all__ = [
     "ReducedBasis2D",
     "Polygon2D",
-    "relevant_vectors_2d",
     "voronoi_polygon_2d",
     "pe_closed_form",
     "pe_geometric_2d",

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import UnsupportedDimensionError, _certified_box, _volume, as_basis, qr_upper
+from .core import UnsupportedDimensionError, _relevant_vectors, _volume, as_basis, qr_upper
 from .polytope import (
     VERTEX_TOL,
     assemble_polytopes,
@@ -403,6 +403,8 @@ def scan_random(trials, density_floor=0.4, seed=None):
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    if np.isnan(density_floor):
+        raise ValueError("density_floor must be a number, got NaN")
     trial_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(trials)]
     records, stack = [], []
     for s in trial_seeds:
@@ -433,30 +435,14 @@ MC_CHUNK = 1 << 14
 def _mc_competitors(R, h):
     """Rows p of R's frame that can beat the origin in the box |x_i| <= h_i, and |p|^2 (1 + 1e-12) / 2.
 
-    Every lattice point nearer than the origin to a point of the box lies in
-    the half ball out to twice the box's circumradius. Of it, p is kept when
-    +-p is the unique shortest pair of its nonzero coset u mod 2, which makes
-    p Voronoi-relevant (a coset tied within a relative 1e-12 holds no
-    relevant vector), and when its halfspace does not hold the whole box:
+    Only a Voronoi-relevant vector can be nearer than the origin to a point
+    of the cell, so p runs over core._relevant_vectors, one of each pair
+    +-p. p is kept when its halfspace does not hold the whole box:
     sum_i |p_i| h_i (1 + 1e-15) > |p|^2 (1 + 1e-12) / 2, the 1e-15 covering
     the rounding of x.p.
     """
-    n = len(h)
-    radius = 2.0 * float(np.linalg.norm(h)) * (1.0 + 1e-9)
-    U = _certified_box(np.linalg.norm(np.linalg.inv(R), axis=1), radius)
-    # the box lists -u in mirror position to u, so the rows after its
-    # central zero hold one vector of each pair
-    U = U[len(U) // 2 + 1 :]
-    P = U @ R.T
-    norm2 = np.einsum("ij,ij->i", P, P)
-    coset = (U & 1) @ (1 << np.arange(n))
-    keep = []
-    for c in range(1, 1 << n):
-        (rows,) = np.nonzero((coset == c) & (norm2 <= radius * radius))
-        if len(rows) and np.count_nonzero(norm2[rows] <= norm2[rows].min() * (1.0 + 1e-12)) == 1:
-            keep.append(rows[np.argmin(norm2[rows])])
-    P, norm2 = P[keep], norm2[keep]
-    half = 0.5 * (norm2 * (1.0 + 1e-12))
+    P = _relevant_vectors(R)
+    half = 0.5 * (np.einsum("ij,ij->i", P, P) * (1.0 + 1e-12))
     fires = np.abs(P) @ h * (1.0 + 1e-15) > half
     return P[fires], half[fires]
 
@@ -466,14 +452,13 @@ def mc_pe_oracle(basis, samples, seed=None):
 
     Samples uniformly in the rectangular decoding cell of the origin and
     counts how often some nonzero lattice point lies strictly closer than the
-    origin. Any such competitor has norm at most twice the sampled point's,
-    so enumerating lattice points out to twice the cell circumradius is
-    exhaustive; of those, _mc_competitors keeps the Voronoi-relevant pairs
-    whose halfspace the cell crosses, one vector of each pair +-p. x counts
+    origin. Only Voronoi-relevant vectors can be, and _mc_competitors keeps
+    the relevant pairs whose halfspace the cell crosses, one vector of each
+    pair +-p, from one closest-point search per coset of L/2L. x counts
     as nearer to p than to the origin when |x.p| > |p|^2 (1 + 1e-12) / 2,
     the same decision as |p|^2 (1 + 1e-12) - 2|x.p| < 0 in IEEE arithmetic:
-    the relative margin keeps ties out at any scale, as does the relative
-    pad of the radius. With no competitor left (an orthogonal basis, n = 1)
+    the relative margin keeps ties out at any scale, as does the search's
+    relative tie window. With no competitor left (an orthogonal basis, n = 1)
     the estimate is 0 and nothing is drawn. Otherwise samples are drawn and
     tested MC_CHUNK at a time in one reused buffer; every double takes one
     word of the generator's stream, so the chunking does not change which

@@ -252,23 +252,34 @@ def test_ties_go_to_the_lexicographically_smallest_coefficients():
     assert cvp_bruteforce(HEXAGONAL_2D, HEXAGONAL_2D @ [0.5, 0.5]).coeffs.tolist() == [0, 1]
 
 
-def test_a_target_on_the_lattice_is_certified_by_a_one_point_box(monkeypatch):
-    rows = []
-    box = core._certified_box
+def test_a_target_on_the_lattice_never_searches(monkeypatch):
+    # its nearest-plane point is at distance 0, inside the packing radius
+    for V in DECODE_LATTICES:
+        babai_point(V, np.zeros(len(V)))  # the frame's own search runs here, once
 
-    def spy(*args):
-        U = box(*args)
-        rows.append(len(U))
-        return U
+    def spy(*args, **kwargs):
+        raise AssertionError("searched")
 
-    monkeypatch.setattr(core, "_certified_box", spy)
+    monkeypatch.setattr(core, "_search", spy)
     rng = np.random.default_rng(47)
     for V in DECODE_LATTICES:
         for b in rng.integers(-9, 10, size=(25, len(V))):
             lp = cvp_bruteforce(V, V @ b)
             assert lp.coeffs.dtype == np.int64 and lp.coeffs.tolist() == b.tolist()
             assert _hexdump(lp.point) == _hexdump(V @ lp.coeffs)
-    assert rows == [1] * 100
+
+
+def test_a_decode_query_visits_at_most_8_nodes(monkeypatch):
+    # 8 is the most seen over 20,000 such queries; 14 was the bound asked for
+    for V in DECODE_LATTICES:
+        babai_point(V, np.zeros(len(V)))  # the frames' own searches run here
+    monkeypatch.setattr(core, "SEARCH_NODE_LIMIT", 8)
+    rng = np.random.default_rng(61)
+    for k in range(2000):
+        V = DECODE_LATTICES[k % len(DECODE_LATTICES)]
+        x = V @ (rng.uniform(-3.0, 3.0, len(V)) * (1e3 if k % 8 >= 4 else 1.0))
+        lp = cvp_bruteforce(V, x)
+        assert np.linalg.norm(x - lp.point) <= np.linalg.norm(x - babai_point(V, x).point) + 1e-9
 
 
 # targets x = s V u with u uniform in [-3, 3)^3 on BCC_UNIT, and sampled bases;
@@ -369,9 +380,13 @@ def test_bad_bases_raise_on_every_call_and_bad_targets_still_raise():
 
 def test_cached_factors_are_read_only_and_the_cache_is_bounded():
     _, frame = core._frame(BCC_UNIT)
-    for a in frame:
+    for a in (frame.R, frame.Vinv):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
+    # the squared packing radius is an immutable float, (lambda_1 / 2)^2 = 1/4 less a relative 1e-9
+    assert type(frame.packing2) is float and frame.packing2 == pytest.approx(0.25, rel=2e-9)
+    with pytest.raises(AttributeError):
+        frame.packing2 = 1.0
     shears = [HEXAGONAL_2D + [[0.0, k + 1.0], [0.0, 0.0]] for k in range(core._FRAMES_KEPT + 8)]
     keys = [(V.shape, V.strides, V.tobytes()) for V in (HEXAGONAL_2D, *shears)]
     babai_point(HEXAGONAL_2D, np.zeros(2))

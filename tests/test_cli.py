@@ -194,6 +194,15 @@ def test_random_scan_density_floor_filters(capsys):
     assert all(float(r[1]) >= 0.5 for r in rows)
 
 
+def test_random_scan_refuses_a_nan_floor_and_keeps_nothing_above_inf(capsys):
+    # NaN compares false with every density, so it would keep every trial
+    code, out, err = run_cli(capsys, "random-scan", "--trials", "3", "--seed", "0", "--floor", "nan")
+    assert code == 2 and out == "" and "NaN" in err
+    code, out, _ = run_cli(capsys, "random-scan", "--trials", "3", "--seed", "0", "--floor", "inf")
+    comments, _, rows = parse_csv(out)
+    assert code == 0 and rows == [] and "# count: 0" in comments
+
+
 def test_table2_scan(capsys):
     code, out, _ = run_cli(
         capsys, "table2-scan", "--trials", "150", "--seed", "5", "--floor", "0.3"

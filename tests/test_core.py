@@ -1,4 +1,7 @@
+import itertools
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 from latbabai.babai import babai_point, nearest_plane_general
 
 from latbabai.core import (
-    MAX_BOX_ROWS,
+    SEARCH_NODE_LIMIT,
     EnumerationTooLargeError,
     RankDeficiencyError,
     UnsupportedDimensionError,
@@ -16,7 +19,6 @@ from latbabai.core import (
     cvp_bruteforce,
     gram,
     lattice_from_json,
-    lattice_to_json,
     packing_density,
     qr_upper,
     round_half_up,
@@ -67,7 +69,7 @@ def test_gram_and_volume():
 
 def test_lattice_json_round_trip(tmp_path):
     V = as_basis(FCC)
-    obj = lattice_to_json(V)
+    obj = {"n": 3, "columns": V.T.tolist()}
     path = tmp_path / "fcc.json"
     path.write_text(json.dumps(obj))
     W = lattice_from_json(str(path))
@@ -153,8 +155,8 @@ def test_cvp_bruteforce_is_exact_on_skewed_bases(skew):
 def test_sheared_bases_decode_lattice_points_and_refuse_or_find_the_closest(name, shear):
     # V = B S with S = I + shear e_1 e_2^T spans the lattice of B, and
     # cond(V) grows as shear^2: V u decodes to u, and a target whose
-    # coefficients lie within 1e-3 of integers gets B's closest point, S u,
-    # unless its certified box is too large to list
+    # coefficients lie within 1e-3 of integers gets B's closest point, S u;
+    # the search follows the shear, so none is refused any more
     B = np.eye(2) if name == "square" else as_basis(BCC_UNIT)
     S = np.eye(len(B))
     S[0, 1] = shear
@@ -167,22 +169,33 @@ def test_sheared_bases_decode_lattice_points_and_refuse_or_find_the_closest(name
     assert nearest_plane_general(V, U @ V.T).tolist() == U.tolist()
     for u in U:
         x = V @ (u + rng.uniform(-1e-3, 1e-3, len(B)))
-        try:
-            lp = cvp_bruteforce(V, x)
-        except EnumerationTooLargeError:
-            continue
+        lp = cvp_bruteforce(V, x)
         assert (S @ lp.coeffs).tolist() == cvp_bruteforce(B, x).coeffs.tolist()
 
 
-def test_enumeration_refuses_a_box_over_the_size_cap():
-    # {(1,0), (9e5,1)} spans Z^2, but about x = (1/2, 1/2) its certified box
-    # is 1,272,793 by 2 points; counted before it is built, so this costs
-    # nothing where listing it would take about 41 MB
-    V = np.array([[1.0, 9e5], [0.0, 1.0]])
-    with pytest.raises(EnumerationTooLargeError, match="reduce the basis") as err:
-        cvp_bruteforce(V, np.array([0.5, 0.5]))
-    assert "2.546e+06 points (1272792 x 2)" in str(err.value) and str(MAX_BOX_ROWS) in str(err.value)
+def test_a_badly_ordered_basis_is_refused_with_a_typed_error():
+    # the short column last gives the search's first level about 1.4e6
+    # values within the Babai distance; it stops at the node limit
+    with pytest.raises(EnumerationTooLargeError, match="closest-point search passed") as err:
+        cvp_bruteforce(np.diag([1.0, 1.0, 1e-6]), np.array([0.5, 0.5, 0.0]))
+    assert "order the columns shortest first" in str(err.value)
+    assert str(SEARCH_NODE_LIMIT) in str(err.value)
     assert isinstance(err.value, ValueError)
+    # the same lattice with the short column first is searched at once
+    assert cvp_bruteforce(np.diag([1e-6, 1.0, 1.0]), np.array([0.0, 0.5, 0.5])).coeffs.tolist() == [0, 0, 0]
+
+
+def test_long_lattices_are_searched_level_by_level():
+    # the Babai point (1, 0) is 0.1 nearer in squared distance than (0, 0),
+    # far below a window relative to the squared distance (1.6e11)
+    assert cvp_bruteforce(np.diag([1.0, 1e6]), np.array([0.55, 4e5])).coeffs.tolist() == [1, 0]
+    assert babai_point(np.diag([1.0, 1e6]), np.array([0.55, 4e5])).coeffs.tolist() == [1, 0]
+    # the box about this target would hold 6.4e17 points
+    assert cvp_bruteforce(np.diag([1.0, 1.0, 1e9]), np.array([0.3, 0.2, 4e8])).coeffs.tolist() == [0, 0, 0]
+    # {(1,0), (9e5,1)} spans Z^2, and (1/2, 1/2) ties four points; the
+    # lexicographically smallest coefficients are those of (0, 1)
+    V = np.array([[1.0, 9e5], [0.0, 1.0]])
+    assert cvp_bruteforce(V, np.array([0.5, 0.5])).coeffs.tolist() == [-900000, 1]
 
 
 EXEMPLARS = [HEXAGONAL_2D, CUBIC_3D, HEXA_RHOMBIC, HEXAGONAL_PRISM, BCC, BCC_UNIT, FCC]
@@ -224,6 +237,69 @@ def test_cvp_and_shortest_vector_are_basis_invariant(case):
         np.linalg.norm(x - cvp_bruteforce(V, x).point), abs=1e-12
     )
     assert shortest_vector(W).norm == pytest.approx(shortest_vector(V).norm, abs=1e-12)
+
+
+def _exact_d2(V, u, x):
+    """|x - V u|^2 of the float inputs, in rational arithmetic."""
+    return sum(
+        (Fraction(xi) - sum(Fraction(vij) * int(uj) for vij, uj in zip(row, u))) ** 2
+        for row, xi in zip(V.tolist(), x.tolist())
+    )
+
+
+def _prism(length):
+    return np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, length]])
+
+
+def _sheared_bcc(k):
+    return as_basis(BCC_UNIT) @ np.array([[1.0, k, -k], [0.0, 1.0, k + 1.0], [0.0, 0.0, 1.0]])
+
+
+LONG_AND_SHEARED = {
+    **{f"diag(1, 1, 1e{e})": np.diag([1.0, 1.0, 10.0**e]) for e in range(2, 10)},
+    **{f"prism 1e{e}": _prism(10.0**e) for e in range(2, 10)},
+    **{f"diag(1, 1e{e})": np.diag([1.0, 10.0**e]) for e in range(2, 10)},
+    **{f"BCC_UNIT sheared by {k}": _sheared_bcc(k) for k in (3, 9, 40)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_AND_SHEARED))
+def test_exact_decoder_on_long_and_sheared_lattices_in_rational_arithmetic(name):
+    # the answer is never farther than the nearest-plane point, and no +-1
+    # step of one coefficient is nearer; a box of radius |x - V b| would
+    # hold up to 1e18 points here, and a window relative to |x - V b|^2
+    # would let a farther point tie
+    V = LONG_AND_SHEARED[name]
+    n = len(V)
+    rng = np.random.default_rng(17)
+    steps = [s * e for e in np.eye(n, dtype=np.int64) for s in (1, -1)]
+    for k in range(20):
+        y = rng.uniform(-3.0, 3.0, n)
+        if k % 2:
+            y[-1] *= 1e3
+        x = V @ y
+        u = cvp_bruteforce(V, x).coeffs
+        d2 = _exact_d2(V, u, x)
+        assert d2 <= _exact_d2(V, babai_point(V, x).coeffs, x)
+        assert all(_exact_d2(V, u + e, x) >= d2 for e in steps)
+
+
+def test_shortest_vector_answers_on_gaussian_bases():
+    # three of these bases would need a Fincke-Pohst box of over 2**20 points
+    # at radius min ||v_j||; where the box at radius lambda_1 holds at most
+    # 60,000 points, it checks that no nonzero vector is shorter
+    checked = 0
+    for V in np.random.default_rng(5).normal(size=(100, 3, 3)):
+        sv = shortest_vector(V)
+        assert sv.coeffs.any() and np.array_equal(sv.point, V @ sv.coeffs)
+        assert sv.norm <= np.linalg.norm(V, axis=0).min() * (1.0 + 1e-12)
+        reach = np.floor(sv.norm * np.linalg.norm(np.linalg.inv(V), axis=1) + 1e-9).astype(int)
+        if math.prod(2 * reach + 1) <= 60_000:
+            U = np.array(list(itertools.product(*[range(-r, r + 1) for r in reach])))
+            norms = np.linalg.norm(U[np.any(U != 0, axis=1)] @ V.T, axis=1)
+            assert norms.min() >= sv.norm * (1.0 - 1e-12)
+            checked += 1
+    assert checked >= 95
 
 
 def test_as_basis_rank_test_is_scale_free():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from latbabai.error2d import (
+    _voronoi_halfplanes,
     DENSITY_2D_MAX,
     LEVEL_CURVE_DEFAULT_KS,
     ReducedBasis2D,
@@ -12,10 +13,10 @@ from latbabai.error2d import (
     pe_density_form,
     pe_geometric_2d,
     pe_polar,
-    relevant_vectors_2d,
     voronoi_polygon_2d,
     worst_theta,
 )
+from latbabai.core import _relevant_vectors, qr_upper
 from latbabai.error3d import mc_pe_oracle
 
 HEX = ReducedBasis2D(-0.5, np.sqrt(3.0) / 2.0)
@@ -39,17 +40,30 @@ def test_reduced_basis_validation():
         ReducedBasis2D(0.1, 0.5)  # second vector shorter than first
 
 
+def _relevant_coefficients(rb):
+    _, R = qr_upper(rb.basis())
+    return [tuple(np.rint(np.linalg.solve(R, p)).astype(int).tolist()) for p in _relevant_vectors(R)]
+
+
 def test_relevant_vectors_three_regimes():
-    # obtuse (theta > pi/2): third vector is (a+1, b)
-    v = relevant_vectors_2d(HEX)
-    assert np.allclose(v[2], [0.5, np.sqrt(3.0) / 2.0], atol=1e-12)
-    # acute (theta < pi/2): third vector is (a-1, b)
-    v = relevant_vectors_2d(ReducedBasis2D(0.3, 1.2))
-    assert np.allclose(v[2], [-0.7, 1.2], atol=1e-12)
-    # right angle: convention picks (a-1, b) = (-1, 1)
-    v = relevant_vectors_2d(ReducedBasis2D(0.0, 1.0))
-    assert np.allclose(v[2], [-1.0, 1.0], atol=1e-12)
-    assert np.allclose(v[0], [1.0, 0.0]) and np.allclose(v[1][1], v[2][1])
+    # one vector of each relevant pair, in coset order, first nonzero coefficient positive
+    # obtuse (theta > pi/2): the third pair is v1 + v2 = (a+1, b)
+    assert _relevant_coefficients(HEX) == [(1, 0), (0, 1), (1, 1)]
+    # acute (theta < pi/2): the third pair is v2 - v1 = (a-1, b)
+    assert _relevant_coefficients(ReducedBasis2D(0.3, 1.2)) == [(1, 0), (0, 1), (1, -1)]
+    # right angle: v1 + v2 and v1 - v2 tie in their coset, so only the axes are relevant
+    assert _relevant_coefficients(ReducedBasis2D(0.0, 1.0)) == [(1, 0), (0, 1)]
+
+
+def test_pe_geometric_2d_on_a_far_from_reduced_basis():
+    # every lattice vector within ||diag R|| made 1,994 halfplanes here; the
+    # relevant pairs make 6
+    V = np.array([[2.213199810675672, -0.3474785581572002], [-0.8965520829041624, 0.1448122370416971]])
+    _, R = qr_upper(V)
+    assert len(_voronoi_halfplanes(R)[0]) <= 6
+    pe = pe_geometric_2d(V)
+    mc, se = mc_pe_oracle(V, 200_000, seed=1)
+    assert abs(pe - mc) <= 3.0 * se
 
 
 def test_voronoi_hexagon_square_lattice():

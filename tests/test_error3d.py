@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latbabai import error3d
-from latbabai.core import UnsupportedDimensionError, _certified_box, as_basis, packing_density, qr_upper, volume
+from latbabai.core import UnsupportedDimensionError, as_basis, packing_density, qr_upper, volume
 from latbabai.error2d import DENSITY_2D_MAX, pe_density_form
 from latbabai.error3d import (
     ORDERING_TIE_TOL,
@@ -115,6 +116,17 @@ def test_very_long_cell_uses_an_obtuse_superbase():
     V = _long_prism(1e5)
     assert classify_cell(conorms(to_obtuse_superbase(V))) is CellType.HexagonalPrism
     assert voronoi_cell_3d(V).volume == pytest.approx(volume(V), rel=1e-6)
+
+
+@pytest.mark.parametrize("length", [1e3, 1e5, 1e7])
+def test_mc_pe_oracle_follows_the_long_prism(length):
+    # the oracle's half ball held 1.13e6 points at L = 300; one search per
+    # coset of L/2L keeps the two relevant pairs that reach the box. The
+    # exact P_e is the hexagonal section's, (0.3 - 0.09) / 4 = 0.0525
+    V = _long_prism(length)
+    assert len(_competitors(V)) == 2
+    pe, se = mc_pe_oracle(V, 200_000, seed=1)
+    assert abs(pe - 0.0525) <= 3.0 * se
 
 
 def test_exemplar_cell_volumes_equal_covolume():
@@ -477,6 +489,14 @@ def test_mc_pe_oracle_does_not_depend_on_the_scale(name):
         assert mc_pe_oracle(2.0**k * MC_BASES[name], 20_000, seed=3) == expected
 
 
+def _box(R, radius):
+    # every integer u with |u_i| <= radius ||row_i(R^-1)|| (Fincke & Pohst),
+    # which holds every lattice point R u within radius of 0, in lexicographic
+    # order: the rows after the central zero hold one vector of each pair +-u
+    reach = np.floor(radius * np.linalg.norm(np.linalg.inv(R), axis=1) + 1e-9).astype(int)
+    return np.array(list(itertools.product(*[range(-k, k + 1) for k in reach])), dtype=np.int64)
+
+
 def _full_ball_oracle(basis, samples, seed=None):
     # mc_pe_oracle before it kept only the relevant pairs that reach the
     # box: every vector of the half ball is a competitor (168 on the long
@@ -487,7 +507,7 @@ def _full_ball_oracle(basis, samples, seed=None):
     _, R = qr_upper(V)
     h = 0.5 * np.diag(R)
     radius = 2.0 * float(np.linalg.norm(h)) * (1.0 + 1e-9)
-    U = _certified_box(np.linalg.norm(np.linalg.inv(R), axis=1), radius)
+    U = _box(R, radius)
     P = U[len(U) // 2 + 1 :] @ R.T
     P = P[np.einsum("ij,ij->i", P, P) <= radius * radius]
     limit = np.einsum("ij,ij->i", P, P) * (1.0 + 1e-12)
