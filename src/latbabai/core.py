@@ -10,8 +10,8 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
-from typing import NamedTuple
 
 import numpy as np
 
@@ -87,6 +87,12 @@ def lattice_from_json(source):
     if not isinstance(n, int) or len(cols) != n or any(len(c) != n for c in cols):
         raise ValueError(f"lattice JSON inconsistent: n={n}, columns={cols!r}")
     return basis_from_columns(cols)
+
+
+def lattice_to_json(V):
+    """Inverse of lattice_from_json."""
+    V = as_basis(V)
+    return {"n": V.shape[0], "columns": [list(map(float, c)) for c in V.T]}
 
 
 def gram(V):
@@ -184,6 +190,8 @@ def _search(R, t, skip_origin=False):
     skip_origin leaves out u = 0. Past SEARCH_NODE_LIMIT nodes it raises.
     """
     n = len(R)
+    if n > 4:
+        raise UnsupportedDimensionError("lattice enumeration covers only n <= 4")
     R, t = R.tolist(), t.tolist()
     u, terms = [0] * n, [0.0] * n
     leaves, best, nodes = [], None, 0
@@ -245,15 +253,14 @@ def shortest_vector(V):
 
 
 def _shortest_vector(V):
-    _check_enumeration(len(V))
     # R of V = Q R without Q; the search does not need its diagonal positive
-    u = np.array(min(_search(np.linalg.qr(V, mode="r"), np.zeros(len(V)), skip_origin=True)), dtype=np.int64)
+    u = np.array(_shortest_coeffs(np.linalg.qr(V, mode="r")), dtype=np.int64)
     return LatticePoint(coeffs=u, point=V @ u)
 
 
-def _check_enumeration(n):
-    if n > 4:
-        raise UnsupportedDimensionError("lattice enumeration covers only n <= 4")
+def _shortest_coeffs(R):
+    """Coefficients of the shortest nonzero R u, the lexicographically smallest of the ties."""
+    return min(_search(R, np.zeros(len(R)), skip_origin=True))
 
 
 def _relevant_vectors(R):
@@ -290,14 +297,26 @@ def packing_density(V):
     return float(_BALL_VOLUME[n](rho) / _volume(V))
 
 
-class _Frame(NamedTuple):
+@dataclass(frozen=True)
+class _Frame:
     """Read-only factors of one validated basis V."""
 
     R: np.ndarray  # qr_upper(V)[1], upper triangular with V = Q R
     Vinv: np.ndarray
-    # (lambda_1 / 2)^2, shrunk by a relative 1e-9: a target nearer than the
-    # packing radius to its nearest-plane point has no other closest point
-    packing2: float
+
+    @cached_property
+    def packing2(self):
+        """(lambda_1 / 2)^2, shrunk by a relative 1e-9: a target nearer than the
+        packing radius to its nearest-plane point has no other closest point.
+
+        Found by the first exact query, so the nearest-plane decoders never
+        search; 0.0, no certificate, where the search refuses.
+        """
+        try:
+            p = self.R @ _shortest_coeffs(self.R)
+        except EnumerationTooLargeError:
+            return 0.0
+        return 0.25 * float(p @ p) * (1.0 - 1e-9)
 
 
 # bases whose frames are kept; the decode stream cycles through 4
@@ -324,10 +343,8 @@ def _frame(V):
             _frames.move_to_end(key)
             return V, frame
     _, R = qr_upper(V)
-    Vinv = np.linalg.inv(V)
-    shortest = R @ _search(R, np.zeros(len(R)), skip_origin=True)[0]
-    frame = _Frame(R, Vinv, 0.25 * float(shortest @ shortest) * (1.0 - 1e-9))
-    for a in frame[:2]:
+    frame = _Frame(R, np.linalg.inv(V))
+    for a in (frame.R, frame.Vinv):
         a.flags.writeable = False
     with _frames_lock:
         _frames[key] = frame
@@ -367,7 +384,6 @@ def _cvp(V, frame, x):
     """The Babai distance |x - V b| and the closest LatticePoint to x."""
     if not np.isfinite(x).all():
         raise ValueError("cvp_bruteforce target must be finite")
-    _check_enumeration(len(x))
     t, b = _babai(frame, x, "cvp_bruteforce")
     d = x - V @ b
     d2 = d @ d

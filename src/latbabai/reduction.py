@@ -181,6 +181,22 @@ def to_obtuse_superbase(V, tol=OBTUSE_TOL):
     return Superbase(_obtuse_superbases(V[None], tol)[0][0])
 
 
+def superbase_to_minkowski(sb, tol=OBTUSE_TOL):
+    """Extract a Minkowski-reduced basis from an obtuse superbase.
+
+    Sorting all n+1 vectors by norm and dropping the longest leaves a basis
+    (the dropped vector is minus the sum of the kept ones); for an obtuse
+    superbase in n <= 3 the kept vectors, in ascending norm order, satisfy
+    the Minkowski conditions.
+    """
+    if not sb.is_obtuse(tol):
+        raise ValueError("superbase is not obtuse")
+    W = sb.vectors
+    order = np.argsort([w @ w for w in W], kind="stable")
+    kept = W[order[:-1]]
+    return kept.T.copy()
+
+
 @dataclass(frozen=True)
 class ConormSet:
     """Nonnegative conorms c_ij = -p_ij of a 3D superbase, in PAIR_ORDER_3D."""

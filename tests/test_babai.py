@@ -243,7 +243,7 @@ def test_babai_error_flag_matches_distance_comparison():
 
 
 def test_ties_go_to_the_lexicographically_smallest_coefficients():
-    # Babai rounds halves up; the exact decoder takes the first of the tied box rows
+    # Babai rounds halves up; the exact decoder takes the lexicographically smallest tie
     assert cvp_bruteforce(np.eye(3), [0.5, 0.5, 0.5]).coeffs.tolist() == [0, 0, 0]
     assert babai_point(np.eye(3), [0.5, 0.5, 0.5]).coeffs.tolist() == [1, 1, 1]
     assert cvp_bruteforce(np.eye(2), [0.5, -0.5]).coeffs.tolist() == [0, -1]
@@ -252,15 +252,15 @@ def test_ties_go_to_the_lexicographically_smallest_coefficients():
     assert cvp_bruteforce(HEXAGONAL_2D, HEXAGONAL_2D @ [0.5, 0.5]).coeffs.tolist() == [0, 1]
 
 
+def _no_search(*args, **kwargs):
+    raise AssertionError("searched")
+
+
 def test_a_target_on_the_lattice_never_searches(monkeypatch):
     # its nearest-plane point is at distance 0, inside the packing radius
     for V in DECODE_LATTICES:
-        babai_point(V, np.zeros(len(V)))  # the frame's own search runs here, once
-
-    def spy(*args, **kwargs):
-        raise AssertionError("searched")
-
-    monkeypatch.setattr(core, "_search", spy)
+        cvp_bruteforce(V, np.zeros(len(V)))  # the packing radius's own search runs here, once
+    monkeypatch.setattr(core, "_search", _no_search)
     rng = np.random.default_rng(47)
     for V in DECODE_LATTICES:
         for b in rng.integers(-9, 10, size=(25, len(V))):
@@ -270,9 +270,9 @@ def test_a_target_on_the_lattice_never_searches(monkeypatch):
 
 
 def test_a_decode_query_visits_at_most_8_nodes(monkeypatch):
-    # 8 is the most seen over 20,000 such queries; 14 was the bound asked for
+    # 8 is the most seen over 20,000 such queries
     for V in DECODE_LATTICES:
-        babai_point(V, np.zeros(len(V)))  # the frames' own searches run here
+        cvp_bruteforce(V, np.zeros(len(V)))  # the packing radii's own searches run here
     monkeypatch.setattr(core, "SEARCH_NODE_LIMIT", 8)
     rng = np.random.default_rng(61)
     for k in range(2000):
@@ -280,6 +280,24 @@ def test_a_decode_query_visits_at_most_8_nodes(monkeypatch):
         x = V @ (rng.uniform(-3.0, 3.0, len(V)) * (1e3 if k % 8 >= 4 else 1.0))
         lp = cvp_bruteforce(V, x)
         assert np.linalg.norm(x - lp.point) <= np.linalg.norm(x - babai_point(V, x).point) + 1e-9
+
+
+def test_the_nearest_plane_decoders_never_search(monkeypatch):
+    # the shortest vector of {(2e4, 1), (1, 0)} takes a search past the node
+    # limit: the nearest-plane decoders must not ask for it, and the exact
+    # decoder then searches with no packing-radius certificate
+    V = np.array([[2e4, 1.0], [1.0, 0.0]])
+    X = np.random.default_rng(67).uniform(-3.0, 3.0, size=(20, 2)) @ V.T
+    with monkeypatch.context() as m:
+        m.setattr(core, "_search", _no_search)
+        B = nearest_plane_general(V, X)
+        assert [babai_point(V, x).coeffs.tolist() for x in X] == B.tolist()
+        assert babai_point(np.eye(5), [0.5, 0.4, 0.0, -0.6, 2.5]).coeffs.tolist() == [1, 0, 0, -1, 3]
+    # the residual Q^T x - R b of each target lies in the box of half-widths diag(R) / 2
+    Q, R = qr_upper(V)
+    assert np.all(np.abs(X @ Q - B @ R.T) <= 0.5 * np.diag(R) * (1.0 + 1e-6))
+    assert cvp_bruteforce(V, V @ [3, -7] + [1e-6, 2e-6]).coeffs.tolist() == [3, -7]
+    assert core._frame(V)[1].packing2 == 0.0
 
 
 # targets x = s V u with u uniform in [-3, 3)^3 on BCC_UNIT, and sampled bases;

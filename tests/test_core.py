@@ -19,6 +19,7 @@ from latbabai.core import (
     cvp_bruteforce,
     gram,
     lattice_from_json,
+    lattice_to_json,
     packing_density,
     qr_upper,
     round_half_up,
@@ -69,7 +70,7 @@ def test_gram_and_volume():
 
 def test_lattice_json_round_trip(tmp_path):
     V = as_basis(FCC)
-    obj = {"n": 3, "columns": V.T.tolist()}
+    obj = lattice_to_json(V)
     path = tmp_path / "fcc.json"
     path.write_text(json.dumps(obj))
     W = lattice_from_json(str(path))

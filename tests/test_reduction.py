@@ -24,17 +24,10 @@ from latbabai.reduction import (
     conorms,
     is_minkowski_reduced,
     lagrange_gauss_reduce,
+    superbase_to_minkowski,
     to_obtuse_superbase,
     vonorms,
 )
-
-
-def superbase_to_minkowski(sb):
-    """A Minkowski-reduced basis from an obtuse superbase (n <= 3): its n
-    shortest vectors in ascending norm; the dropped one is minus their sum."""
-    assert sb.is_obtuse()
-    W = sb.vectors
-    return W[np.argsort([w @ w for w in W], kind="stable")[:-1]].T.copy()
 
 
 def test_minkowski_conditions_on_known_lattices():
