@@ -55,10 +55,14 @@ def as_basis(V):
         raise ValueError(f"generator matrix must be square, got shape {V.shape}")
     if not np.all(np.isfinite(V)):
         raise ValueError("generator matrix entries must be finite")
-    # Hadamard's bound |det V| <= prod_j |v_j| holds with equality for
-    # orthogonal columns, so the ratio depends on neither units nor skew;
-    # math.hypot neither overflows nor underflows on the way
-    if abs(np.linalg.det(V)) <= 1e-12 * math.prod(map(math.hypot, *V.tolist())):
+    # Hadamard's bound |det V| <= prod_j |v_j| is an equality for orthogonal columns, so
+    # the ratio is free of units and skew. numpy's det, exp(log|det|), leaves the double
+    # range only where the bound does; there exact power-of-two column scales come first
+    W, bound = V, math.prod(map(math.hypot, *V.tolist()))
+    if not 2.0**-900 < bound < 2.0**900:
+        W = np.ldexp(V, -np.frexp(np.abs(V).max(axis=0))[1])
+        bound = math.prod(map(math.hypot, *W.tolist()))
+    if abs(np.linalg.det(W)) <= 1e-12 * bound:
         raise RankDeficiencyError("generator matrix is rank deficient")
     return V
 
@@ -263,15 +267,15 @@ def _shortest_coeffs(R):
     return min(_search(R, np.zeros(len(R)), skip_origin=True))
 
 
-def _relevant_vectors(R):
-    """One vector p = R c of each Voronoi-relevant pair +-p, the first nonzero c_i positive.
+def _relevant_vectors(R, V=None):
+    """One vector p = V c of each Voronoi-relevant pair +-p, the first nonzero c_i positive,
+    in the frame of V = Q R (R's own by default).
 
     By Voronoi's theorem p is relevant when +-p is the unique shortest pair
     of its coset c mod 2 (Conway & Sloane, SPLAG ch. 21). The shortest
     vectors of the nonzero coset u in {0,1}^n are u + 2w for the w nearest
     to -u/2, so one search per coset finds them, and a coset with more than
-    one tied pair holds no relevant vector. Rows come in the order of the
-    cosets, sum_i u_i 2^i.
+    one tied pair holds no relevant vector. Rows come in coset order, sum_i u_i 2^i.
     """
     n = len(R)
     C = []
@@ -281,7 +285,7 @@ def _relevant_vectors(R):
         if len(ties) == 2:
             c = (u + 2 * np.array(ties[0])).tolist()
             C.append(max(c, [-x for x in c]))
-    return np.array(C, dtype=np.int64).reshape(-1, n) @ R.T
+    return np.array(C, dtype=np.int64).reshape(-1, n) @ (R if V is None else V).T
 
 
 _BALL_VOLUME = {1: lambda r: 2.0 * r, 2: lambda r: np.pi * r**2, 3: lambda r: 4.0 * np.pi * r**3 / 3.0}

@@ -13,6 +13,7 @@ import numpy as np
 from .core import _relevant_vectors, as_basis, qr_upper, volume
 from .polytope import (
     Polygon2D,
+    bisector_halfspaces,
     box_halfspaces,
     polygon_from_halfplanes,
     polygon_from_vertices,
@@ -95,13 +96,6 @@ def pe_closed_form(rb):
     return float((-a - a * a) / (4.0 * b * b))
 
 
-def _voronoi_halfplanes(R):
-    """Bisector halfplanes of the Voronoi-relevant vectors, both of each pair."""
-    P = _relevant_vectors(R)
-    N = np.vstack([P, -P])
-    return N, 0.5 * np.einsum("ij,ij->i", N, N)
-
-
 def pe_geometric_2d(V):
     """Error probability for an arbitrary 2D basis by explicit polygon intersection.
 
@@ -113,7 +107,7 @@ def pe_geometric_2d(V):
     if V.shape != (2, 2):
         raise ValueError("pe_geometric_2d expects a 2x2 generator matrix")
     _, R = qr_upper(V)
-    N, c = _voronoi_halfplanes(R)
+    N, c = bisector_halfspaces(_relevant_vectors(R))
     Nb, cb = box_halfspaces(0.5 * np.diag(R))
     inter = polygon_from_halfplanes(np.vstack([N, Nb]), np.concatenate([c, cb]))
     pe = 1.0 - inter.area / volume(R)

@@ -1,12 +1,12 @@
 """Voronoi cells of 3D lattices and the error rate of nearest-plane decoding.
 
-Starting from an obtuse superbase {v_0, v_1, v_2, v_3}, the Voronoi cell of
-the origin is cut out by at most 14 halfspaces, one per candidate relevant
-vector w in +-{v_1, v_2, v_3, v_1+v_2, v_1+v_3, v_2+v_3, v_1+v_2+v_3}. Which
-of the five parallelohedron shapes appears is read off the zero pattern of
-the six conorms. The decoding error probability is one minus the fraction of
-the cell volume captured by the rectangular decoding cell, minimized over
-column orderings of the generator.
+The Voronoi cell of the origin is cut out by the bisectors of the 6 to 14
+Voronoi-relevant vectors, which core's closest-point search finds for any
+basis. Which of the five parallelohedron shapes appears is read off the zero
+pattern of the six conorms of an obtuse superbase. The decoding error
+probability is one minus the fraction of the cell volume captured by the
+rectangular decoding cell, minimized over column orderings of the generator;
+pe_3d builds the cell from the 14 superbase sums in the coefficient frame.
 """
 
 from dataclasses import dataclass
@@ -21,6 +21,7 @@ from .core import UnsupportedDimensionError, _relevant_vectors, _volume, as_basi
 from .polytope import (
     VERTEX_TOL,
     assemble_polytopes,
+    bisector_halfspaces,
     compact_rows,
     distinct_planes,
     normalize_halfspaces,
@@ -28,7 +29,7 @@ from .polytope import (
     polytope_from_halfspaces,
     solve_triples,
 )
-from .reduction import PAIR_ORDER_3D, ConormSet, Superbase, _obtuse_superbases, to_obtuse_superbase
+from .reduction import PAIR_ORDER_3D, ConormSet, Superbase, _obtuse_superbases
 
 
 class CellType(Enum):
@@ -49,33 +50,32 @@ FACET_COUNTS = {
     CellType.Cuboid: 6,
 }
 
-def relevant_vector_candidates(sb):
-    """The seven sums v_1, v_2, v_3, v_12, v_13, v_23, v_123, as rows."""
-    v1, v2, v3 = sb.vectors[1], sb.vectors[2], sb.vectors[3]
-    return np.array([v1, v2, v3, v1 + v2, v1 + v3, v2 + v3, v1 + v2 + v3])
 
+def voronoi_halfspaces(basis):
+    """Bisector halfspaces {x : x.p <= p.p/2} of the Voronoi-relevant pairs +-p, one per facet.
 
-def voronoi_halfspaces(sb):
-    """Halfspace system {x : x.w <= w.w/2} over the 14 signed candidates."""
-    W7 = relevant_vector_candidates(sb)
-    W = np.vstack([W7, -W7])
-    return W, 0.5 * np.einsum("ij,ij->i", W, W)
-
-
-def voronoi_cell_3d(sb):
-    """Voronoi cell of the origin for the lattice of an obtuse superbase.
-
-    Accepts a Superbase or a generator matrix (converted via sign search).
-    Redundant halfspaces drop out during construction, so degenerate shapes
-    (fewer than 14 facets) come out with the correct combinatorics.
+    basis is a full-rank 3x3 generator, or a Superbase through its basis(). Each
+    p is V c, c integer, from core's search on the columns sorted shortest first
+    (the lattice, and so its relevant vectors, do not depend on their order).
     """
-    if not isinstance(sb, Superbase):
-        sb = to_obtuse_superbase(as_basis(sb))
-    if sb.n != 3:
-        raise UnsupportedDimensionError("voronoi_cell_3d needs n = 3")
-    if not sb.is_obtuse():
-        raise ValueError("superbase is not obtuse")
-    return polytope_from_halfspaces(*voronoi_halfspaces(sb))
+    V = as_basis(basis.basis() if isinstance(basis, Superbase) else basis)
+    if V.shape != (3, 3):
+        raise UnsupportedDimensionError("the 3D Voronoi cell needs a 3x3 generator")
+    V = V[:, np.argsort(np.einsum("ij,ij->j", V, V), kind="stable")]
+    return bisector_halfspaces(_relevant_vectors(qr_upper(V)[1], V))
+
+
+def voronoi_cell_3d(basis):
+    """Voronoi cell of the origin, cut by the planes of voronoi_halfspaces(basis).
+
+    A Voronoi cell tiles space, so a volume more than a relative 1e-9 from |det V|
+    raises FloatingPointError (below a flatness of about 1e-7 the search drops relevant pairs).
+    """
+    V = as_basis(basis.basis() if isinstance(basis, Superbase) else basis)
+    cell = polytope_from_halfspaces(*voronoi_halfspaces(V))
+    if not abs(cell.volume / _volume(V) - 1.0) <= 1e-9:
+        raise FloatingPointError(f"Voronoi cell volume {cell.volume:.6g} is not |det V| = {_volume(V):.6g}")
+    return cell
 
 
 def voronoi_vertices_conorm_formula(sb):
@@ -501,7 +501,6 @@ __all__ = [
     "mc_pe_oracle",
     "pe_3d",
     "random_reduced_superbase",
-    "relevant_vector_candidates",
     "scan_random",
     "summarize_scan",
     "voronoi_cell_3d",

@@ -314,11 +314,6 @@ class ConvexPolytope3D:
     def euler_characteristic(self):
         return self.n_vertices - self.n_edges + self.n_facets
 
-    @property
-    def halfspaces(self):
-        """Facet planes as (normal, offset) pairs, outward normals."""
-        return list(zip(self.facet_normals, self.facet_offsets))
-
     def is_centrally_symmetric(self, tol=1e-7):
         P = self.vertices
         if len(P) == 0:
@@ -377,6 +372,12 @@ def intersect_polytopes(halfspaces_a, halfspaces_b):
     Na, ca = halfspaces_a
     Nb, cb = halfspaces_b
     return polytope_from_halfspaces(np.vstack([Na, Nb]), np.concatenate([ca, cb]))
+
+
+def bisector_halfspaces(P):
+    """The halfspaces {x : x.p <= p.p/2} nearer the origin than p, for the rows p of [P; -P]."""
+    N = np.vstack([P, -P])
+    return N, 0.5 * np.einsum("ij,ij->i", N, N)
 
 
 def box_halfspaces(half_widths):

@@ -102,7 +102,7 @@ class Superbase:
         if W.ndim != 2 or W.shape[0] != W.shape[1] + 1:
             raise ValueError("superbase needs n+1 vectors of dimension n")
         resid = np.abs(W.sum(axis=0)).max()
-        if resid > 1e-9 * max(1.0, np.abs(W).max()):
+        if resid > 1e-9 * np.abs(W).max(initial=0.0):
             raise ValueError(f"superbase vectors do not sum to zero (residual {resid:.2e})")
 
     @property
@@ -208,7 +208,7 @@ class ConormSet:
         object.__setattr__(self, "values", v)
         if v.shape != (6,):
             raise ValueError("ConormSet holds six values")
-        if np.any(v < -1e-8):
+        if np.any(v < -1e-8 * np.abs(v).max(initial=0.0)):
             raise ValueError("conorms must be nonnegative")
 
     def __getitem__(self, pair):

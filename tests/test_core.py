@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -315,9 +316,21 @@ def test_as_basis_rank_test_is_scale_free():
         np.column_stack([FCC[:, :2], FCC[:, 0] + FCC[:, 1] + 1e-13 * FCC[:, 2]]),
         np.zeros((3, 3)),
     ]
-    for scale in [1e-8, 1e-4, 1e4] + list(10.0 ** np.arange(-100, 101, 20)):
-        for V in (skew, FCC, BCC):
-            assert np.array_equal(as_basis(scale * V), scale * V)
-        for V in singular:
-            with pytest.raises(RankDeficiencyError):
-                as_basis(scale * V)
+    # the determinant of 1e150 * I overflowed and that of 1e-160 * I underflowed;
+    # columns at mixed scales keep Hadamard's ratio too, and nothing warns
+    scales = [1e-8, 1e-4, 1e4, 1e150, 1e-160] + list(10.0 ** np.arange(-300, 301, 20))
+    mixed = [np.array(d) for d in ([1e300, 1e-300, 1.0], [1e300, 1e300, 1e-300], [1e-300, 1e-300, 1e200])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in scales:
+            for V in (skew, FCC, BCC):
+                assert np.array_equal(as_basis(scale * V), scale * V)
+            for V in singular:
+                with pytest.raises(RankDeficiencyError):
+                    as_basis(scale * V)
+        for d in mixed:
+            for V in (FCC, BCC):
+                assert np.array_equal(as_basis(V * d), V * d)
+            for V in singular[2:]:
+                with pytest.raises(RankDeficiencyError):
+                    as_basis(V * d)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from latbabai.error2d import (
-    _voronoi_halfplanes,
     DENSITY_2D_MAX,
     LEVEL_CURVE_DEFAULT_KS,
     ReducedBasis2D,
@@ -60,7 +59,7 @@ def test_pe_geometric_2d_on_a_far_from_reduced_basis():
     # relevant pairs make 6
     V = np.array([[2.213199810675672, -0.3474785581572002], [-0.8965520829041624, 0.1448122370416971]])
     _, R = qr_upper(V)
-    assert len(_voronoi_halfplanes(R)[0]) <= 6
+    assert len(_relevant_vectors(R)) <= 3
     pe = pe_geometric_2d(V)
     mc, se = mc_pe_oracle(V, 200_000, seed=1)
     assert abs(pe - mc) <= 3.0 * se

@@ -19,10 +19,10 @@ from latbabai.error3d import (
     mc_pe_oracle,
     pe_3d,
     random_reduced_superbase,
-    relevant_vector_candidates,
     scan_random,
     summarize_scan,
     voronoi_cell_3d,
+    voronoi_halfspaces,
     voronoi_vertices_conorm_formula,
 )
 from latbabai.error3d import _mc_competitors, _pe_stack, _scan_one, _scan_records, _scan_sample
@@ -98,24 +98,87 @@ def _long_prism(length):
     return np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, length]])
 
 
-@pytest.mark.parametrize("length", [1e2, 1e3])
-def test_anisotropic_cell_keeps_every_facet(length):
-    V = _long_prism(length)
-    assert classify_cell(conorms(to_obtuse_superbase(V))) is CellType.HexagonalPrism
+def _assert_cell(V, counts):
     cell = voronoi_cell_3d(V)
-    assert (cell.n_facets, cell.n_vertices) == (8, 12)
-    assert cell.volume == pytest.approx(volume(V), rel=1e-12)
+    assert (cell.n_facets, cell.n_vertices) == counts
+    assert cell.euler_characteristic == 2
+    assert abs(cell.volume / volume(V) - 1.0) <= 1e-12
     cell.validate()
 
 
-def test_very_long_cell_uses_an_obtuse_superbase():
-    # at an aspect ratio of 1e5 the planes at the two zero conorms meet the
-    # end facets at angles near 1e-5, which blurs the facet count; the
-    # volume still shows whether the cell was built from the right
-    # superbase (the identity superbase gives 9 % too much)
-    V = _long_prism(1e5)
+# from a flat prism (1e-6) to a long one (1e11): the side and end facets
+# meet at angles near 1/L, and their vertices must not merge or drift apart
+@pytest.mark.parametrize("length", [1e-6, 1e-3] + [10.0**k for k in range(2, 12)])
+def test_anisotropic_cell_keeps_every_facet(length):
+    V = _long_prism(length)
     assert classify_cell(conorms(to_obtuse_superbase(V))) is CellType.HexagonalPrism
-    assert voronoi_cell_3d(V).volume == pytest.approx(volume(V), rel=1e-6)
+    _assert_cell(V, (8, 12))
+
+
+def test_a_too_flat_cell_raises_a_typed_error():
+    # at flatness 1e-7 the search's tie window merges v with v + 2 v_3, so
+    # relevant pairs go missing; the volume check refuses the empty cell
+    with pytest.raises(FloatingPointError, match="volume"):
+        voronoi_cell_3d(_long_prism(1e-7))
+
+
+SHEARED = [
+    (FCC, [[1, 1, 0], [0, 1, 0], [0, 0, 1]], (12, 14)),
+    (BCC, [[1, 3, -2], [0, 1, 4], [0, 0, 1]], (14, 24)),
+    (HEXA_RHOMBIC, [[2, 1, 0], [1, 1, 0], [5, -3, 1]], (12, 18)),
+]
+
+
+@pytest.mark.parametrize("V, U, counts", SHEARED, ids=["fcc", "bcc", "hexa_rhombic"])
+def test_cells_of_bases_with_no_obtuse_superbase(V, U, counts):
+    W = np.asarray(V) @ np.array(U, dtype=float)
+    with pytest.raises(ObtuseSuperbaseNotFound):
+        to_obtuse_superbase(W)
+    _assert_cell(W, counts)
+
+
+def _unimodular(rng, steps=6):
+    """A product of random elementary column operations and a column permutation."""
+    U = np.eye(3)
+    for _ in range(steps):
+        i, j = rng.choice(3, size=2, replace=False)
+        U[:, j] += rng.integers(-2, 3) * U[:, i]
+    return U[:, rng.permutation(3)]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 299), shear_seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_cell_is_invariant_under_unimodular_change_of_basis(seed, shear_seed):
+    V, _ = random_reduced_superbase(rng_seed=seed)
+    reduced = voronoi_cell_3d(V)
+    U = _unimodular(np.random.default_rng(shear_seed))
+    assert abs(round(np.linalg.det(U))) == 1
+    cell = voronoi_cell_3d(V @ U)
+    assert (cell.n_facets, cell.n_vertices) == (reduced.n_facets, reduced.n_vertices)
+    assert cell.euler_characteristic == 2
+    assert abs(cell.volume / reduced.volume - 1.0) <= 1e-12
+
+
+def test_relevant_vectors_count_the_facets_of_the_conorm_class():
+    # the search (one closest-point search per coset) and the conorm graph
+    # of the obtuse superbase are independent routes to the facet count
+    bases = [V for V, _, _ in EXEMPLARS.values()] + [random_reduced_superbase(rng_seed=s)[0] for s in range(300)]
+    for V in bases:
+        N, c = voronoi_halfspaces(V)
+        assert len(N) == len(c) == FACET_COUNTS[classify_cell(conorms(to_obtuse_superbase(V)))]
+
+
+def test_voronoi_halfspaces_are_the_bisectors_in_the_basis_frame():
+    # a Superbase gives its basis's planes; every row p is V c for an integer c
+    sb = to_obtuse_superbase(as_basis(BCC_UNIT))
+    N, c = voronoi_halfspaces(sb)
+    assert np.array_equal(N, voronoi_halfspaces(sb.basis())[0])
+    assert np.array_equal(c, 0.5 * np.einsum("ij,ij->i", N, N))
+    assert np.array_equal(N[7:], -N[:7])
+    coeffs = np.linalg.solve(sb.basis(), N.T)
+    assert np.allclose(coeffs, np.rint(coeffs), rtol=0, atol=1e-12)
+    with pytest.raises(UnsupportedDimensionError):
+        voronoi_cell_3d(HEXAGONAL_2D)
 
 
 @pytest.mark.parametrize("length", [1e3, 1e5, 1e7])
@@ -202,15 +265,6 @@ def test_pe_scale_invariance_and_bounds():
 def test_pe_rejects_wrong_dimension():
     with pytest.raises(UnsupportedDimensionError):
         pe_3d(np.eye(2))
-
-
-def test_relevant_vector_candidates_structure():
-    sb = to_obtuse_superbase(as_basis(BCC_UNIT))
-    W = relevant_vector_candidates(sb)
-    assert W.shape == (7, 3)
-    v1, v2, v3 = sb.vectors[1], sb.vectors[2], sb.vectors[3]
-    assert np.allclose(W[6], v1 + v2 + v3, atol=1e-12)
-    assert np.allclose(W[3], v1 + v2, atol=1e-12)
 
 
 def test_conorm_vertex_formula_bcc():

@@ -203,6 +203,24 @@ def test_conormset_validates_negative_input():
         ConormSet((-0.5, 1.0, 1.0, 1.0, 1.0, 1.0))
 
 
+def test_conormset_sign_check_is_relative():
+    # at scale 1e-12 a conorm 5,000 times the others was below the absolute -1e-8
+    with pytest.raises(ValueError, match="nonnegative"):
+        ConormSet(1e-12 * np.array([-5000.0, 1.0, 1.0, 1.0, 1.0, 1.0]))
+    for scale in (1e-12, 1.0, 1e12):
+        ConormSet(scale * np.array([5000.0, 1.0, 1.0, 1.0, 1.0, 1.0]))
+        ConormSet(scale * np.array([-1e-12, 1.0, 1.0, 1.0, 1.0, 1.0]))
+
+
+def test_superbase_closure_check_is_relative():
+    # at scale 1e-12 a residual of (1e-12, 1e-12) was below the absolute 1e-9
+    with pytest.raises(ValueError, match="sum to zero"):
+        Superbase(1e-12 * np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+    V = as_basis(BCC_UNIT)
+    for scale in (1e-12, 1.0, 1e12):
+        assert np.array_equal(Superbase.from_basis(scale * V).basis(), scale * V)
+
+
 def test_superbase_from_basis_round_trip():
     V = as_basis(HEXAGONAL_PRISM)
     sb = Superbase.from_basis(V)
