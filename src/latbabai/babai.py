@@ -104,13 +104,3 @@ def babai_point(V, x):
     V, frame = _frame(V)
     b = _babai(frame, _as_target(x, V.shape[0]), "nearest_plane")[1]
     return LatticePoint(coeffs=b, point=V @ b)
-
-
-__all__ = [
-    "nearest_plane",
-    "nearest_plane_general",
-    "babai_cell",
-    "BabaiCell",
-    "is_babai_error",
-    "babai_point",
-]

@@ -43,7 +43,7 @@ from .error3d import CellType, classify_cell, pe_3d, scan_random, summarize_scan
 from .lattices import HEXAGONAL_2D, KNOWN_LATTICES, SQUARE_2D
 from .protocol import (
     IrrationalRatioError,
-    _sample_columns,
+    _draw_rows,
     _scaled_upper,
     centralized_total_rate,
     fusion_decode,
@@ -329,9 +329,9 @@ def _cmd_protocol_sim(args):
         _, Rs = _scaled_upper(V, args.alpha, sources)
         profile = rationalize(Rs)
         report = centralized_total_rate(sources, V, args.alpha, samples=args.samples, seed=args.seed)
-        X = _sample_columns(sources, min(args.samples, 10**4), [args.seed, 1])
-        msgs = [node_encode(m, X[:, m], Rs, profile) for m in range(n)]
-        differs = fusion_decode(msgs, Rs, profile) != nearest_plane(Rs, X)
+        X = np.empty((n, min(args.samples, 10**4)))
+        msgs = [node_encode(m, X[m], Rs, profile) for m in _draw_rows(sources, X, [args.seed, 1])]
+        differs = fusion_decode(msgs, Rs, profile) != nearest_plane(Rs, X.T)
         payload = {
             "rate_bound": report.bound_bits,
             "empirical_rate": report.empirical_bits,

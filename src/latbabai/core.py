@@ -276,6 +276,9 @@ def _relevant_vectors(R, V=None):
     vectors of the nonzero coset u in {0,1}^n are u + 2w for the w nearest
     to -u/2, so one search per coset finds them, and a coset with more than
     one tied pair holds no relevant vector. Rows come in coset order, sum_i u_i 2^i.
+    The relevant vectors span R^n. Exact integer elimination on the kept c
+    checks that they do, and FloatingPointError is raised where they do not,
+    as when a basis flatter than about 1e-7 loses pairs to the tie window.
     """
     n = len(R)
     C = []
@@ -285,6 +288,12 @@ def _relevant_vectors(R, V=None):
         if len(ties) == 2:
             c = (u + 2 * np.array(ties[0])).tolist()
             C.append(max(c, [-x for x in c]))
+    rows = C
+    for j in range(n):
+        pivot = next((r for r in rows if r[j]), None)
+        if pivot is None:
+            raise FloatingPointError(f"{len(C)} relevant pairs do not span R^{n}: the cell has no finite volume")
+        rows = [[x * pivot[j] - p * r[j] for x, p in zip(r, pivot)] for r in rows if r is not pivot]
     return np.array(C, dtype=np.int64).reshape(-1, n) @ (R if V is None else V).T
 
 

@@ -182,19 +182,3 @@ def level_curve_data(pe_values=LEVEL_CURVE_DEFAULT_KS, grid=200, b_max=2.0):
                 continue
             rows.append((float(k), float(a), b, pe_closed_form(ReducedBasis2D(a, b))))
     return rows
-
-
-__all__ = [
-    "ReducedBasis2D",
-    "Polygon2D",
-    "voronoi_polygon_2d",
-    "pe_closed_form",
-    "pe_geometric_2d",
-    "packing_density_2d",
-    "optimal_a",
-    "pe_density_form",
-    "pe_polar",
-    "worst_theta",
-    "level_curve_data",
-    "DENSITY_2D_MAX",
-]

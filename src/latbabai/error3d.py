@@ -69,7 +69,7 @@ def voronoi_cell_3d(basis):
     """Voronoi cell of the origin, cut by the planes of voronoi_halfspaces(basis).
 
     A Voronoi cell tiles space, so a volume more than a relative 1e-9 from |det V|
-    raises FloatingPointError (below a flatness of about 1e-7 the search drops relevant pairs).
+    raises FloatingPointError, as do relevant pairs that span no cell (core._relevant_vectors).
     """
     V = as_basis(basis.basis() if isinstance(basis, Superbase) else basis)
     cell = polytope_from_halfspaces(*voronoi_halfspaces(V))
@@ -311,10 +311,14 @@ def random_reduced_superbase(rng_seed=None, rng_range=(-4.0, 4.0), max_attempts=
     batch = 8192
     while attempts < max_attempts:
         m = min(batch, max_attempts - attempts)
-        a, b, c, d, e = rng.uniform(lo, hi, size=(5, m))
+        # the rows a, b, c, d, e of rng.uniform(lo, hi, (5, m)), which is lo + (hi - lo) u,
+        # mapped only where the test reads them: a and c, then b, d and e where those pass
+        u = rng.random((5, m))
+        a, c = lo + (hi - lo) * u[0], lo + (hi - lo) * u[2]
         # a12 = a and a13 = c in [-1/2, 0], which implies 1 + a12 + a13 >= 0
         idx = np.flatnonzero((a >= -0.5) & (a <= 0.0) & (c >= -0.5) & (c <= 0.0))
-        a12, a13, bi, di, ei = a[idx], c[idx], b[idx], d[idx], e[idx]
+        a12, a13 = a[idx], c[idx]
+        bi, di, ei = lo + (hi - lo) * u[np.ix_((1, 3, 4), idx)]
         a22 = a12 * a12 + bi * bi
         a23 = a12 * a13 + bi * di
         a33 = a13 * a13 + di * di + ei * ei
@@ -329,9 +333,9 @@ def random_reduced_superbase(rng_seed=None, rng_range=(-4.0, 4.0), max_attempts=
             & (np.abs(bi * ei) > 1e-9)  # guard against numerically flat samples
         )
         if ok.any():
-            i = idx[ok][0]
-            V = np.array([[1.0, a[i], c[i]], [0.0, b[i], d[i]], [0.0, 0.0, e[i]]])
-            return V, attempts + int(i) + 1
+            j = np.flatnonzero(ok)[0]
+            V = np.array([[1.0, a12[j], a13[j]], [0.0, bi[j], di[j]], [0.0, 0.0, ei[j]]])
+            return V, attempts + int(idx[j]) + 1
         attempts += m
     raise RuntimeError(f"no reduced obtuse basis found in {max_attempts} attempts")
 
@@ -459,10 +463,13 @@ def mc_pe_oracle(basis, samples, seed=None):
     the same decision as |p|^2 (1 + 1e-12) - 2|x.p| < 0 in IEEE arithmetic:
     the relative margin keeps ties out at any scale, as does the search's
     relative tie window. With no competitor left (an orthogonal basis, n = 1)
-    the estimate is 0 and nothing is drawn. Otherwise samples are drawn and
-    tested MC_CHUNK at a time in one reused buffer; every double takes one
+    the estimate is 0 and nothing is drawn; relevant pairs that do not span
+    R^n raise FloatingPointError. Otherwise samples are drawn and
+    tested MC_CHUNK at a time in reused buffers; every double takes one
     word of the generator's stream, so the chunking does not change which
-    points are drawn.
+    points are drawn. A point is (u - 1/2) 2h for u from rng.random():
+    numpy's rng.uniform(-1, 1) is -1 + 2u, equal to 2(u - 1/2) exactly, so
+    the points keep the bits of rng.uniform(-1, 1) h.
     Returns (estimate, binomial standard error).
     """
     V = as_basis(basis)
@@ -478,11 +485,15 @@ def mc_pe_oracle(basis, samples, seed=None):
         return 0.0, 0.0
     half = half[:, None]
     rng = np.random.default_rng(seed)
-    buf = np.empty(len(P) * min(MC_CHUNK, samples))
+    chunk = min(MC_CHUNK, samples)
+    buf, draws, scale = np.empty(len(P) * chunk), np.empty(n * chunk), np.tile(2.0 * h, chunk)
     errors = 0
     for start in range(0, samples, MC_CHUNK):
-        X = rng.uniform(-1.0, 1.0, size=(min(MC_CHUNK, samples - start), n))
-        X *= h
+        k = n * min(MC_CHUNK, samples - start)
+        X = rng.random(out=draws[:k])
+        X -= 0.5
+        X *= scale[:k]
+        X = X.reshape(-1, n)
         # one row per competitor, so the test runs down contiguous rows
         dot = buf[: len(P) * len(X)].reshape(len(P), len(X))
         np.matmul(P, X.T, out=dot)
@@ -490,20 +501,3 @@ def mc_pe_oracle(basis, samples, seed=None):
         errors += int(np.count_nonzero((dot > half).any(axis=0)))
     p = errors / samples
     return p, float(np.sqrt(p * (1.0 - p) / samples))
-
-
-__all__ = [
-    "CellType",
-    "FACET_COUNTS",
-    "Pe3DResult",
-    "ScanRecord",
-    "classify_cell",
-    "mc_pe_oracle",
-    "pe_3d",
-    "random_reduced_superbase",
-    "scan_random",
-    "summarize_scan",
-    "voronoi_cell_3d",
-    "voronoi_halfspaces",
-    "voronoi_vertices_conorm_formula",
-]

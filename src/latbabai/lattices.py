@@ -47,15 +47,3 @@ KNOWN_LATTICES = {
     "bcc": BCC,
     "fcc": FCC,
 }
-
-__all__ = [
-    "BCC",
-    "BCC_UNIT",
-    "CUBIC_3D",
-    "FCC",
-    "HEXAGONAL_2D",
-    "HEXAGONAL_PRISM",
-    "HEXA_RHOMBIC",
-    "KNOWN_LATTICES",
-    "SQUARE_2D",
-]

@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -180,40 +181,61 @@ def centralized_rate_bound(profile: RationalProfile) -> float:
 
 @dataclass(frozen=True)
 class SourceModel:
-    """Scalar source with known differential entropy and a sampler."""
+    """Scalar source with known differential entropy and a sampler.
+
+    name "uniform" takes params (lo, hi) with hi > lo a finite distance apart,
+    "gauss" takes (mean, sigma) with sigma > 0; anything else raises ValueError.
+    """
 
     name: str
     params: Tuple[float, ...]
+
+    def __post_init__(self):
+        if self.name == "uniform":
+            lo, hi = self.params
+            if not (hi > lo and math.isfinite(hi - lo)):
+                raise ValueError("need hi > lo, a finite distance apart")
+        elif self.name == "gauss":
+            _, sigma = self.params
+            if not sigma > 0:
+                raise ValueError("need sigma > 0")
+        else:
+            raise ValueError(f"unknown source {self.name!r}")
 
     @property
     def differential_entropy_bits(self) -> float:
         if self.name == "uniform":
             lo, hi = self.params
             return math.log2(hi - lo)
-        if self.name == "gauss":
-            _, sigma = self.params
-            return 0.5 * math.log2(2.0 * math.pi * math.e * sigma * sigma)
-        raise ValueError(f"unknown source {self.name!r}")
+        _, sigma = self.params
+        return 0.5 * math.log2(2.0 * math.pi * math.e * sigma * sigma)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return self._draw(rng, np.empty(size))
+
+    def _draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Fill the float64 array out in place and return it.
+
+        numpy draws rng.uniform(lo, hi) as lo + (hi - lo) u with u from
+        rng.random, and rng.normal(mean, sigma) as mean + sigma z with z from
+        rng.standard_normal, so the same words give the same bits here.
+        """
         if self.name == "uniform":
-            lo, hi = self.params
-            return rng.uniform(lo, hi, size)
-        if self.name == "gauss":
-            mean, sigma = self.params
-            return rng.normal(mean, sigma, size)
-        raise ValueError(f"unknown source {self.name!r}")
+            offset, scale = self.params[0], self.params[1] - self.params[0]
+            rng.random(out=out)
+        else:
+            offset, scale = self.params
+            rng.standard_normal(out=out)
+        out *= scale
+        out += offset
+        return out
 
 
 def uniform_source(lo: float = 0.0, hi: float = 1.0) -> SourceModel:
-    if not hi > lo:
-        raise ValueError("need hi > lo")
     return SourceModel(name="uniform", params=(float(lo), float(hi)))
 
 
 def gaussian_source(sigma: float = 1.0, mean: float = 0.0) -> SourceModel:
-    if sigma <= 0:
-        raise ValueError("need sigma > 0")
     return SourceModel(name="gauss", params=(float(mean), float(sigma)))
 
 
@@ -253,10 +275,17 @@ def _scaled_upper(basis, alpha: float, nodes) -> Tuple[np.ndarray, np.ndarray]:
     return V, alpha * qr_upper(V)[1]
 
 
-def _sample_columns(sources: Sequence[SourceModel], samples: int, seed) -> np.ndarray:
-    """A (samples, n) matrix, column m drawn from sources[m], source by source from default_rng(seed)."""
+def _draw_rows(sources: Sequence[SourceModel], rows: Iterable[np.ndarray], seed) -> Iterator[int]:
+    """Draw sources[m] into rows[m] in place, source by source from
+    default_rng(seed), and yield m once its row is filled.
+
+    rows is the (n, samples) array whose transpose holds one sample per row,
+    or one buffer repeated when each row is used up before the next is drawn.
+    """
     rng = np.random.default_rng(seed)
-    return np.column_stack([src.sample(rng, samples) for src in sources])
+    for m, (src, row) in enumerate(zip(sources, rows)):
+        src._draw(rng, row)
+        yield m
 
 
 def run_centralized(basis, x, alpha: float = 1.0) -> ProtocolTrace:
@@ -320,13 +349,11 @@ def centralized_total_rate(
 
     empirical = None
     if samples:
-        X = _sample_columns(sources, samples, seed)
-        bits = 0.0
-        for m in range(n):
+        bits, t = 0.0, np.empty(samples)
+        for m in _draw_rows(sources, repeat(t), seed):
             # node_encode's rounded coefficient, without the unused side information
-            t = X[:, m] / Rs[m, m]
-            b_m = checked_int64(round_half_up(t), t, "centralized_total_rate")
-            bits += _plugin_entropy_bits(b_m[:, None])
+            t /= Rs[m, m]
+            bits += _plugin_entropy_bits(checked_int64(round_half_up(t), t, "centralized_total_rate"))
         empirical = bits + side
     return TotalRateReport(bound_bits=float(bound), empirical_bits=empirical, side_info_bits=float(side))
 
@@ -352,14 +379,13 @@ def _plugin_entropy_bits(rows: np.ndarray) -> float:
     if rows.size == 0:
         return 0.0
     rows = rows.reshape(len(rows), -1)
-    key = np.zeros(len(rows), dtype=np.uint64)
-    radix = 1
+    key, radix = None, 1
     for col in rows.T:
         lo = col.min()
         span = int(col.max()) - int(lo) + 1
         # the difference wraps modulo 2**64 onto the exact offset
         digit = col.view(np.uint64) - np.uint64(lo.view(np.uint64))
-        if radix * span >= 1 << 64:
+        if key is not None and radix * span >= 1 << 64:
             _, key = np.unique(key, return_inverse=True)
             key = key.astype(np.uint64)
             radix = int(key.max()) + 1
@@ -367,8 +393,10 @@ def _plugin_entropy_bits(rows: np.ndarray) -> float:
             _, digit = np.unique(digit, return_inverse=True)
             digit = digit.astype(np.uint64)
             span = int(digit.max()) + 1
-        key = key * np.uint64(span) + digit
-        radix *= span
+        if key is not None:
+            key *= np.uint64(span)
+            digit += key
+        key, radix = digit, radix * span
     if radix <= len(key):
         # nonzero bins come in increasing key order, the order of sorted runs
         counts = np.bincount(key.view(np.int64))
@@ -411,8 +439,11 @@ def interactive_simulate(
     _check_entropy_samples(samples)
     n = Rs.shape[0]
 
-    # no name holds the samples, so they are freed before the entropies
-    U = nearest_plane(Rs, _sample_columns(sources, samples, seed))
+    X = np.empty((n, samples))
+    for _ in _draw_rows(sources, X, seed):
+        pass
+    U = nearest_plane(Rs, X.T)
+    del X  # the samples are freed before the entropies
 
     # H(U_i | U_{i+1..n}) = H(U_i..U_n) - H(U_{i+1}..U_n), summed over i
     joint_bits = [_plugin_entropy_bits(U[:, i:]) for i in range(n)] + [0.0]
@@ -428,24 +459,3 @@ def interactive_simulate(
         scale=float(alpha),
     )
     return trace, empirical_rate
-
-
-__all__ = [
-    "IrrationalRatioError",
-    "NodeMessage",
-    "ProtocolModel",
-    "ProtocolTrace",
-    "RationalProfile",
-    "SourceModel",
-    "TotalRateReport",
-    "centralized_rate_bound",
-    "centralized_total_rate",
-    "fusion_decode",
-    "gaussian_source",
-    "interactive_rate_approximation",
-    "interactive_simulate",
-    "node_encode",
-    "rationalize",
-    "run_centralized",
-    "uniform_source",
-]

@@ -54,6 +54,15 @@ def test_relevant_vectors_three_regimes():
     assert _relevant_coefficients(ReducedBasis2D(0.0, 1.0)) == [(1, 0), (0, 1)]
 
 
+def test_relevant_vectors_span_check_is_exact():
+    # on this unreduced flat basis the search keeps the coefficients (1, 0)
+    # and (299999999, -1), of determinant -1, which numpy's floating-point
+    # matrix_rank reads as rank 1; the pairs span the plane and are returned
+    assert np.linalg.matrix_rank(np.array([[1, 0], [299999999, -1]])) == 1
+    _, R = qr_upper(np.array([[1e-9, 0.3], [0.0, 1.0]]))
+    assert len(_relevant_vectors(R)) == 2
+
+
 def test_pe_geometric_2d_on_a_far_from_reduced_basis():
     # every lattice vector within ||diag R|| made 1,994 halfplanes here; the
     # relevant pairs make 6

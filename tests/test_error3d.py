@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latbabai import error3d
-from latbabai.core import UnsupportedDimensionError, as_basis, packing_density, qr_upper, volume
+from latbabai.core import UnsupportedDimensionError, _relevant_vectors, as_basis, packing_density, qr_upper, volume
 from latbabai.error2d import DENSITY_2D_MAX, pe_density_form
 from latbabai.error3d import (
     ORDERING_TIE_TOL,
@@ -117,7 +117,7 @@ def test_anisotropic_cell_keeps_every_facet(length):
 
 def test_a_too_flat_cell_raises_a_typed_error():
     # at flatness 1e-7 the search's tie window merges v with v + 2 v_3, so
-    # relevant pairs go missing; the volume check refuses the empty cell
+    # relevant pairs go missing; the two left span no cell of finite volume
     with pytest.raises(FloatingPointError, match="volume"):
         voronoi_cell_3d(_long_prism(1e-7))
 
@@ -188,6 +188,20 @@ def test_mc_pe_oracle_follows_the_long_prism(length):
     # exact P_e is the hexagonal section's, (0.3 - 0.09) / 4 = 0.0525
     V = _long_prism(length)
     assert len(_competitors(V)) == 2
+    pe, se = mc_pe_oracle(V, 200_000, seed=1)
+    assert abs(pe - 0.0525) <= 3.0 * se
+
+
+def test_mc_pe_oracle_refuses_a_prism_too_flat_for_the_search():
+    # sorted shortest first, the prism at flatness 1e-7 loses two of its four
+    # relevant pairs to the search's tie window; the two left span a plane,
+    # which once gave the estimate (0.0, 0.0)
+    V = _long_prism(1e-7)[:, [2, 0, 1]]
+    with pytest.raises(FloatingPointError, match="span"):
+        mc_pe_oracle(V, 20_000, seed=1)
+    # at 1e-6 the search keeps all four pairs, and P_e is the hexagonal section's
+    V = _long_prism(1e-6)[:, [2, 0, 1]]
+    assert len(_relevant_vectors(qr_upper(V)[1])) == 4
     pe, se = mc_pe_oracle(V, 200_000, seed=1)
     assert abs(pe - 0.0525) <= 3.0 * se
 

@@ -1,4 +1,13 @@
+"""The two distributed protocols: rationalization, encode and decode, rates.
+
+`python tests/test_protocol.py SEED ...` prints, for every case of PINS, one
+line per seed: the seed, the case, the float.hex of the simulated rate and,
+for the interactive model, the decoded coefficients of the last sample.
+Dumps of two checkouts compare with `cmp`.
+"""
+
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -10,12 +19,13 @@ from hypothesis.extra import numpy as hnp
 
 from latbabai.babai import nearest_plane
 from latbabai.core import as_basis, qr_upper, round_half_up
-from latbabai.lattices import BCC_UNIT, HEXAGONAL_2D
+from latbabai.lattices import BCC_UNIT, FCC, HEXAGONAL_2D
 from latbabai.protocol import (
     IrrationalRatioError,
     NodeMessage,
     ProtocolModel,
     RationalProfile,
+    SourceModel,
     centralized_rate_bound,
     centralized_total_rate,
     fusion_decode,
@@ -541,3 +551,131 @@ def test_interactive_simulate_guards():
         interactive_simulate(srcs, HEXAGONAL_2D, 0.0, samples=200)
     with pytest.raises(ValueError):
         interactive_simulate(srcs[:1], HEXAGONAL_2D, 2**-8, samples=200)
+
+
+# --- the simulated rates, pinned bit for bit ----------------------------------
+
+# Both simulations draw source by source from default_rng(seed), so their
+# rates are a seed contract: the values below were recorded from the form
+# that drew each source with rng.uniform or rng.normal and stacked the columns.
+PIN_LATTICES = {"HEXAGONAL_2D": HEXAGONAL_2D, "BCC_UNIT": BCC_UNIT, "FCC": FCC}
+PIN_SOURCES = {
+    "uniform": lambda n: [uniform_source(-0.75, 1.5)] * n,
+    "gauss": lambda n: [gaussian_source(0.6, mean=0.25)] * n,
+    "mixed": lambda n: [gaussian_source(1.3, mean=-2.0), uniform_source(), uniform_source(0.125, 3.0)][:n],
+}
+PIN_SAMPLES = 20_001
+PIN_SEED = 1009
+# (lattice, source, log2 alpha, model) -> float.hex of the rate, then for the
+# interactive model the last sample's coefficients: at alpha = 2**-8 nearly
+# every sample has its own coefficient vector, so the rate alone would not
+# notice a changed draw
+PINS = {
+    ("HEXAGONAL_2D", "uniform", -8, "interactive"): ("0x1.c784459f74ac2p+3", 85, 425),
+    ("HEXAGONAL_2D", "uniform", -8, "centralized"): ("0x1.3808a222e2b67p+4",),
+    ("HEXAGONAL_2D", "uniform", -2, "interactive"): ("0x1.a99f1e36b99ecp+2", 1, 7),
+    ("HEXAGONAL_2D", "uniform", -2, "centralized"): ("0x1.ed56b6e857a2ep+2",),
+    ("HEXAGONAL_2D", "gauss", -8, "interactive"): ("0x1.c76e927f6fa46p+3", 26, 12),
+    ("HEXAGONAL_2D", "gauss", -8, "centralized"): ("0x1.3bebafcca5de9p+4",),
+    ("HEXAGONAL_2D", "gauss", -2, "interactive"): ("0x1.b571c63743d2dp+2", 0, 0),
+    ("HEXAGONAL_2D", "gauss", -2, "centralized"): ("0x1.f64de48ff9930p+2",),
+    ("HEXAGONAL_2D", "mixed", -8, "interactive"): ("0x1.c75de14073db4p+3", -724, 283),
+    ("HEXAGONAL_2D", "mixed", -8, "centralized"): ("0x1.389df3018ede4p+4",),
+    ("HEXAGONAL_2D", "mixed", -2, "interactive"): ("0x1.b448c8bd8a7b6p+2", -11, 4),
+    ("HEXAGONAL_2D", "mixed", -2, "centralized"): ("0x1.f4cb518b224c2p+2",),
+    ("BCC_UNIT", "uniform", -8, "interactive"): ("0x1.c93587ddaf332p+4", 383, 346, -89),
+    ("BCC_UNIT", "uniform", -8, "centralized"): ("0x1.e67819af490dep+4",),
+    ("BCC_UNIT", "uniform", -2, "interactive"): ("0x1.4214cdd9868a0p+4", 6, 6, -1),
+    ("BCC_UNIT", "uniform", -2, "centralized"): ("0x1.96387bfe370a7p+3",),
+    ("BCC_UNIT", "gauss", -8, "interactive"): ("0x1.c933e474ded38p+4", 90, 66, 110),
+    ("BCC_UNIT", "gauss", -8, "centralized"): ("0x1.ec411d73c0484p+4",),
+    ("BCC_UNIT", "gauss", -2, "interactive"): ("0x1.4600236702fa3p+4", 1, 1, 2),
+    ("BCC_UNIT", "gauss", -2, "centralized"): ("0x1.9d5ab966efeb0p+3",),
+    ("BCC_UNIT", "mixed", -8, "interactive"): ("0x1.c93312c076a3ap+4", -298, 457, 395),
+    ("BCC_UNIT", "mixed", -8, "centralized"): ("0x1.ec8e12143ed52p+4",),
+    ("BCC_UNIT", "mixed", -2, "interactive"): ("0x1.4daee28b09e50p+4", -5, 7, 6),
+    ("BCC_UNIT", "mixed", -2, "centralized"): ("0x1.a4bbcc9307f34p+3",),
+    ("FCC", "uniform", -8, "interactive"): ("0x1.c93587ddaf332p+4", 246, 316, -103),
+    ("FCC", "uniform", -8, "centralized"): ("0x1.df102752b117cp+4",),
+    ("FCC", "uniform", -2, "interactive"): ("0x1.435b8f8e8a636p+4", 4, 5, -2),
+    ("FCC", "uniform", -2, "centralized"): ("0x1.882b65ead5c66p+3",),
+    ("FCC", "gauss", -8, "interactive"): ("0x1.c933e474ded38p+4", 95, 74, 127),
+    ("FCC", "gauss", -8, "centralized"): ("0x1.e4bcb3b64e233p+4",),
+    ("FCC", "gauss", -2, "interactive"): ("0x1.49a8276fd4508p+4", 1, 1, 2),
+    ("FCC", "gauss", -2, "centralized"): ("0x1.8e897b96c5e15p+3",),
+    ("FCC", "mixed", -8, "interactive"): ("0x1.c934b62947034p+4", -354, 473, 456),
+    ("FCC", "mixed", -8, "centralized"): ("0x1.e5222a45490eap+4",),
+    ("FCC", "mixed", -2, "interactive"): ("0x1.50b7a1921d364p+4", -6, 7, 7),
+    ("FCC", "mixed", -2, "centralized"): ("0x1.97d344759258ap+3",),
+}
+
+
+def simulated_rate(lattice, source, log2_alpha, model, seed):
+    V = PIN_LATTICES[lattice]
+    sources = PIN_SOURCES[source](V.shape[0])
+    if model == "interactive":
+        trace, rate = interactive_simulate(sources, V, 2.0**log2_alpha, PIN_SAMPLES, seed=seed)
+        return (rate.hex(), *trace.decoded.tolist())
+    return (centralized_total_rate(sources, V, 2.0**log2_alpha, PIN_SAMPLES, seed=seed).empirical_bits.hex(),)
+
+
+@pytest.mark.parametrize("case", sorted(PINS))
+def test_simulated_rates_are_pinned_bit_for_bit(case):
+    assert simulated_rate(*case, PIN_SEED) == PINS[case]
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(0.0, 1.0), (-0.75, 1.5), (0.125, 3.0), (-1e-300, 3e-300), (-7.3, 1e6), (1e15, 1e15 + 3)]
+)
+def test_uniform_is_lo_plus_width_times_random(lo, hi):
+    # the in-place draws of the simulations rely on numpy's definition
+    for seed in range(4):
+        expected = np.random.default_rng(seed).uniform(lo, hi, 100_001)
+        u = np.random.default_rng(seed).random(100_001)
+        assert np.array_equal((lo + (hi - lo) * u).view(np.int64), expected.view(np.int64))
+        assert np.array_equal(uniform_source(lo, hi).sample(np.random.default_rng(seed), 100_001), expected)
+
+
+@pytest.mark.parametrize("mean, sigma", [(0.0, 1.0), (0.25, 0.6), (-2.0, 1.3), (1e9, 1e-9), (-5e-310, 3e300)])
+def test_normal_is_mean_plus_sigma_times_standard_normal(mean, sigma):
+    for seed in range(4):
+        expected = np.random.default_rng(seed).normal(mean, sigma, 100_001)
+        z = np.random.default_rng(seed).standard_normal(100_001)
+        assert np.array_equal((mean + sigma * z).view(np.int64), expected.view(np.int64))
+        assert np.array_equal(gaussian_source(sigma, mean).sample(np.random.default_rng(seed), 100_001), expected)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("uniform", (1.0, 0.0)), ("uniform", (-1e308, 1e308)), ("gauss", (0.0, -1.0)), ("gauss", (0.0, 0.0)),
+     ("laplace", (0.0, 1.0))],
+)
+def test_source_model_checks_its_parameters(name, params):
+    # the in-place draws skip the checks of numpy's uniform and normal, so
+    # the model refuses such parameters when it is built
+    with pytest.raises(ValueError):
+        SourceModel(name, params)
+
+
+# peak traced memory of centralized_total_rate on BCC_UNIT with 50,000
+# samples: 1.213 MB measured (numpy 2.4), plus 25 %. Drawing all the sources
+# before the entropies held the (50,000, 3) sample matrix and reached 3.20 MB.
+CENTRALIZED_PEAK_BYTES = 1.213e6 * 1.25
+
+
+def test_centralized_total_rate_draws_one_source_at_a_time():
+    srcs = [uniform_source() for _ in range(3)]
+    centralized_total_rate(srcs, BCC_UNIT, 2**-8, samples=50_000, seed=1)  # warm caches first
+    tracemalloc.start()
+    try:
+        centralized_total_rate(srcs, BCC_UNIT, 2**-8, samples=50_000, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= CENTRALIZED_PEAK_BYTES
+
+
+if __name__ == "__main__":
+    for seed in (int(s) for s in sys.argv[1:]):
+        for case in PINS:
+            print(seed, *case, *simulated_rate(*case, seed))
