@@ -81,6 +81,7 @@ _NUMERIC_ERRORS = (
     RankDeficiencyError,
     np.linalg.LinAlgError,
     FloatingPointError,
+    OverflowError,
 )
 
 

@@ -100,8 +100,9 @@ def pe_geometric_2d(V):
     """Error probability for an arbitrary 2D basis by explicit polygon intersection.
 
     Rotates to the upper triangular generator, builds the exact Voronoi cell
-    from bisector halfplanes, intersects with the Babai box, and returns
-    1 - area(intersection) / |det V|.
+    from bisector halfplanes, intersects with the Babai box, and returns 1 -
+    area(intersection) / |det V|; the intersection holds a neighbourhood of
+    the origin, so one of fewer than 3 vertices raises FloatingPointError.
     """
     V = as_basis(V)
     if V.shape != (2, 2):
@@ -110,6 +111,8 @@ def pe_geometric_2d(V):
     N, c = bisector_halfspaces(_relevant_vectors(R))
     Nb, cb = box_halfspaces(0.5 * np.diag(R))
     inter = polygon_from_halfplanes(np.vstack([N, Nb]), np.concatenate([c, cb]))
+    if len(inter.vertices) < 3:
+        raise FloatingPointError(f"cell and box meet in {len(inter.vertices)} vertices, not a polygon")
     pe = 1.0 - inter.area / volume(R)
     return float(min(max(pe, 0.0), 1.0))
 

@@ -291,12 +291,12 @@ def random_reduced_superbase(rng_seed=None, rng_range=(-4.0, 4.0), max_attempts=
     """Rejection-sample a generator {(1,0,0), (a,b,0), (c,d,e)} whose basis is
     Minkowski-reduced and whose superbase completion is obtuse as given.
 
-    Entries are uniform over rng_range, drawn in batches of 8,192 candidates.
-    Returns (basis, attempts); raises RuntimeError if no sample passes within
-    max_attempts draws. A fixed seed reproduces the same basis; the batch
-    size is part of that contract, since another batch size hands different
-    draws to each entry and so changes every basis. The conditions on a and c
-    alone run first; the rest run only on the ~1/256 of draws that pass them.
+    Entries are the rows a-e of uniform(lo, hi, (5, m)) over rng_range (hi > lo,
+    a finite distance apart), in batches of m = 8,192; another batch size changes
+    every basis. Returns (basis, attempts), fixed by the seed, or raises
+    RuntimeError if none passes within max_attempts draws. Rows a-d are drawn in
+    bulk and the conditions on a and c alone run first; row e is read word by
+    word, through advance, where those on a-d pass.
     The batch test is Minkowski reduction and obtuseness with no slack (a11 = 1):
     a22 >= 1, a33 >= a22; a, c in [-1/2, 0] and 2|a23| <= a22 for the pairs;
     2(|a12| + |a13| + |a23|) <= 1 + a22 for all sign triples; a23 <= 0,
@@ -305,37 +305,44 @@ def random_reduced_superbase(rng_seed=None, rng_range=(-4.0, 4.0), max_attempts=
     and Superbase.is_obtuse allow relative slack, far above the rounding or two
     by which these Gram entries differ from V^T V, so every basis passes both.
     """
-    rng = np.random.default_rng(rng_seed)
     lo, hi = rng_range
+    if not (hi > lo and np.isfinite(hi - lo)):
+        raise ValueError("need hi > lo, a finite distance apart")
+    rng = np.random.default_rng(rng_seed)
+    bits = rng.bit_generator  # PCG64 advances past words; others draw them, as does a PCG64 holding a 32-bit half
+    skip = bits.advance if isinstance(bits, np.random.PCG64) and not bits.state["has_uint32"] else rng.random
     attempts = 0
     batch = 8192
+    buf = np.empty(4 * batch)
     while attempts < max_attempts:
         m = min(batch, max_attempts - attempts)
-        # the rows a, b, c, d, e of rng.uniform(lo, hi, (5, m)), which is lo + (hi - lo) u,
-        # mapped only where the test reads them: a and c, then b, d and e where those pass
-        u = rng.random((5, m))
-        a, c = lo + (hi - lo) * u[0], lo + (hi - lo) * u[2]
+        # rows a-d of uniform(lo, hi, (5, m)), which is lo + (hi - lo) u, mapped in place
+        u = rng.random(out=buf[: 4 * m]).reshape(4, m)
+        u *= hi - lo
+        u += lo
         # a12 = a and a13 = c in [-1/2, 0], which implies 1 + a12 + a13 >= 0
-        idx = np.flatnonzero((a >= -0.5) & (a <= 0.0) & (c >= -0.5) & (c <= 0.0))
-        a12, a13 = a[idx], c[idx]
-        bi, di, ei = lo + (hi - lo) * u[np.ix_((1, 3, 4), idx)]
+        inside = (u[::2] >= -0.5) & (u[::2] <= 0.0)
+        idx = (inside[0] & inside[1]).nonzero()[0]
+        a12, bi, a13, di = abcd = u[:, idx]
         a22 = a12 * a12 + bi * bi
         a23 = a12 * a13 + bi * di
-        a33 = a13 * a13 + di * di + ei * ei
         ok = (
             (a22 >= 1.0)
-            & (a33 >= a22)
             & (2.0 * np.abs(a23) <= a22)
             & (2.0 * (np.abs(a12) + np.abs(a13) + np.abs(a23)) <= 1.0 + a22)
             & (a23 <= 0.0)
             & (a12 + a22 + a23 >= 0.0)
-            & (a13 + a23 + a33 >= 0.0)
-            & (np.abs(bi * ei) > 1e-9)  # guard against numerically flat samples
         )
-        if ok.any():
-            j = np.flatnonzero(ok)[0]
-            V = np.array([[1.0, a12[j], a13[j]], [0.0, bi[j], di[j]], [0.0, 0.0, ei[j]]])
-            return V, attempts + int(idx[j]) + 1
+        # e where a-d pass, from its word of row e; the last tests (|b e| for flat samples) round as numpy's
+        read = 0
+        for i, x, b, y, d in zip(idx[ok].tolist(), *abcd[:, ok].tolist()):
+            skip(i - read)
+            e, read = lo + (hi - lo) * rng.random(), i + 1
+            a33 = y * y + d * d + e * e
+            if a33 >= x * x + b * b and y + (x * y + b * d) + a33 >= 0.0 and abs(b * e) > 1e-9:
+                skip(m - read)
+                return np.array([[1.0, x, y], [0.0, b, d], [0.0, 0.0, e]]), attempts + read
+        skip(m - read)  # every batch starts where the full (5, m) draw would
         attempts += m
     raise RuntimeError(f"no reduced obtuse basis found in {max_attempts} attempts")
 

@@ -8,7 +8,7 @@ import pytest
 from latbabai import __version__
 from latbabai.babai import is_babai_error
 from latbabai.cli import main
-from latbabai.lattices import KNOWN_LATTICES
+from latbabai.lattices import BCC_UNIT, KNOWN_LATTICES
 
 
 def run_cli(capsys, *argv):
@@ -96,6 +96,13 @@ def test_pe2d_polar_and_basis(capsys, lattice_file):
     path = lattice_file([[5.0, 0.0], [3.0, 1.0]])
     doc2 = run_json(capsys, "pe2d", "--basis", path)
     assert doc2["pe_geometric"] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_pe2d_basis_too_flat_for_the_polygon_exits_3(capsys, lattice_file):
+    path = lattice_file([[1e-9, 0.0], [0.0, 1.0]])
+    code, out, err = run_cli(capsys, "pe2d", "--basis", path)
+    assert (code, out) == (3, "")
+    assert err.startswith("latbabai: numeric failure:") and "2 vertices" in err
 
 
 def test_pe2d_requires_exactly_one_mode(capsys):
@@ -263,6 +270,23 @@ def test_rank_deficient_lattice_exits_3(capsys, lattice_file):
     code, _, err = run_cli(capsys, "reduce", "--lattice", path)
     assert code == 3
     assert "numeric failure" in err
+
+
+# the 2^600 target overflows d @ d in cvp_bruteforce before the search's
+# Python float overflow, which is the error under test
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("scale, target, message", [
+    # coefficients near 2^600, beyond int64, from the nearest-plane rounding
+    (2.0**-600, (0.3, 0.2, 0.1), "outside the int64 range"),
+    # the closest-point search squares a term beyond the float range
+    (2.0**600, (0.3 * 2.0**600, 0.2 * 2.0**600, 0.1 * 2.0**600), "out of range"),
+])
+def test_babai_overflow_exits_3(capsys, lattice_file, scale, target, message):
+    path = lattice_file((scale * BCC_UNIT).T.tolist())
+    code, out, err = run_cli(capsys, "babai", "--lattice", path, "--target", ",".join(map(repr, target)))
+    assert (code, out) == (3, "")
+    assert err.startswith("latbabai: numeric failure:") and message in err
+    assert err.count("\n") == 1
 
 
 def test_unknown_lattice_exits_2(capsys):

@@ -157,6 +157,18 @@ def test_geometric_rejects_wrong_shape():
         pe_geometric_2d(np.eye(3))
 
 
+@pytest.mark.parametrize("V", [[[1e-9, 0.0], [0.0, 1.0]], [[1e-9, 0.3], [0.0, 1.0]]])
+def test_geometric_raises_where_cell_and_box_collapse(V):
+    # at flatness 1e-9 the polygon of cell & box keeps 2 vertices of area 0,
+    # which would read as P_e = 1.0; the exact P_e of both bases is 0
+    with pytest.raises(FloatingPointError, match="2 vertices"):
+        pe_geometric_2d(np.array(V))
+
+
+def test_geometric_on_a_flat_rectangle_that_still_resolves():
+    assert pe_geometric_2d(np.array([[1e-8, 0.0], [0.0, 1.0]])) == 0.0
+
+
 def test_geometric_scale_invariance():
     rng = np.random.default_rng(43)
     for _ in range(20):

@@ -6,13 +6,21 @@ draw changes every scan output. The values below are float.hex dumps of
 `(V, attempts)` recorded from the sampler that tested all 13 conditions on
 every draw; seeds 0, 3 and 12 need more than one batch of 8,192 draws.
 
-`python tests/test_sampler.py SEED ...` prints one line per seed: the seed,
-`attempts` and the float.hex of the nine entries of V, row by row. Dumps of
-two checkouts compare with `cmp`.
+The sampler draws rows a-d of each batch in bulk and reads row e word by
+word where a-d pass; `reference_sampler` below draws all five rows, and the
+two must agree bit for bit, in the returned basis and in the generator state
+they leave behind.
+
+`python tests/test_sampler.py SEED ...` prints three lines per seed: the seed,
+`attempts` and the float.hex of the nine entries of V, row by row; then the
+same with `max_attempts=5000`, which cuts the last batch short (`none` where
+no basis passes), and with `rng_range=-1,1`. Dumps of two checkouts compare
+with `cmp`.
 """
 
 import sys
 
+import numpy as np
 import pytest
 
 from latbabai.core import packing_density
@@ -73,9 +81,48 @@ SHORT = {
 }
 
 
-def dump(seed, max_attempts=10**6):
-    V, attempts = random_reduced_superbase(rng_seed=seed, max_attempts=max_attempts)
+def dump(seed, max_attempts=10**6, rng_range=(-4.0, 4.0), sampler=random_reduced_superbase):
+    V, attempts = sampler(rng_seed=seed, rng_range=rng_range, max_attempts=max_attempts)
     return attempts, tuple(float(x).hex() for x in V.ravel())
+
+
+def reference_sampler(rng_seed=None, rng_range=(-4.0, 4.0), max_attempts=10**6):
+    """The sampler with every row drawn: rng.uniform(lo, hi, (5, m)) per batch,
+    then all conditions on the columns whose a and c pass."""
+    rng = np.random.default_rng(rng_seed)
+    lo, hi = rng_range
+    attempts = 0
+    while attempts < max_attempts:
+        m = min(BATCH, max_attempts - attempts)
+        a, b, c, d, e = rng.uniform(lo, hi, (5, m))
+        idx = np.flatnonzero((a >= -0.5) & (a <= 0.0) & (c >= -0.5) & (c <= 0.0))
+        a12, a13, b, d, e = a[idx], c[idx], b[idx], d[idx], e[idx]
+        a22 = a12 * a12 + b * b
+        a23 = a12 * a13 + b * d
+        a33 = a13 * a13 + d * d + e * e
+        ok = (
+            (a22 >= 1.0)
+            & (a33 >= a22)
+            & (2.0 * np.abs(a23) <= a22)
+            & (2.0 * (np.abs(a12) + np.abs(a13) + np.abs(a23)) <= 1.0 + a22)
+            & (a23 <= 0.0)
+            & (a12 + a22 + a23 >= 0.0)
+            & (a13 + a23 + a33 >= 0.0)
+            & (np.abs(b * e) > 1e-9)
+        )
+        if ok.any():
+            j = np.flatnonzero(ok)[0]
+            V = np.array([[1.0, a12[j], a13[j]], [0.0, b[j], d[j]], [0.0, 0.0, e[j]]])
+            return V, attempts + int(idx[j]) + 1
+        attempts += m
+    raise RuntimeError(f"no reduced obtuse basis found in {max_attempts} attempts")
+
+
+def outcome(sampler, seed, **kwargs):
+    try:
+        return dump(seed, sampler=sampler, **kwargs)
+    except RuntimeError as exc:
+        return str(exc)
 
 
 @pytest.mark.parametrize("seed", sorted(PINNED))
@@ -100,6 +147,54 @@ def test_sampled_basis_is_reduced_and_obtuse(seed, max_attempts):
     assert Superbase.from_basis(V).is_obtuse(OBTUSE_TOL)
 
 
+@pytest.mark.parametrize("rng_range", [(-4.0, 4.0), (-1.0, 1.0), (-4.5, 3.25)])
+def test_sampler_matches_the_full_draw_reference(rng_range):
+    for seed in range(300):
+        want = dump(seed, rng_range=rng_range, sampler=reference_sampler)
+        assert dump(seed, rng_range=rng_range) == want
+
+
+@pytest.mark.parametrize("max_attempts", [5000, 8193, 20000])
+def test_sampler_matches_the_reference_with_a_short_last_batch(max_attempts):
+    assert max_attempts % BATCH
+    outcomes = [outcome(random_reduced_superbase, s, max_attempts=max_attempts) for s in range(300)]
+    assert outcomes == [outcome(reference_sampler, s, max_attempts=max_attempts) for s in range(300)]
+    # both paths of the last batch, a basis and none, are covered
+    assert len({type(o) for o in outcomes}) == 2
+
+
+def _state(rng):
+    return repr(rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox])
+@pytest.mark.parametrize("max_attempts", [10**6, 5000, 20000])
+@pytest.mark.parametrize("held_half", [False, True])
+def test_a_generator_passed_in_ends_where_the_reference_leaves_it(bit_generator, max_attempts, held_half):
+    # PCG64 jumps over row e's words; the others draw them, as does a PCG64
+    # that holds half a word from a 32-bit draw
+    for seed in range(5):
+        rngs = [np.random.Generator(bit_generator(seed)) for _ in range(2)]
+        for rng in rngs:
+            rng.random(3)
+            if held_half:
+                rng.integers(0, 2**32, dtype=np.uint32)
+        got, want = (outcome(sampler, rng, max_attempts=max_attempts)
+                     for sampler, rng in zip((random_reduced_superbase, reference_sampler), rngs))
+        assert got == want
+        assert _state(rngs[0]) == _state(rngs[1])
+
+
+@pytest.mark.parametrize("rng_range", [(4.0, -4.0), (float("nan"), 1.0), (-float("inf"), float("inf")),
+                                       (1.0, 1.0), (-1e308, 1e308)])
+def test_sampler_rejects_a_range_that_is_empty_or_not_finite(rng_range):
+    rng = np.random.default_rng(0)
+    before = _state(rng)
+    with pytest.raises(ValueError, match="need hi > lo, a finite distance apart"):
+        random_reduced_superbase(rng, rng_range=rng_range)
+    assert _state(rng) == before
+
+
 def test_sampler_raises_when_max_attempts_runs_out():
     with pytest.raises(RuntimeError, match="10000 attempts"):
         random_reduced_superbase(rng_seed=0, max_attempts=10000)
@@ -115,3 +210,7 @@ if __name__ == "__main__":
     for seed in (int(s) for s in sys.argv[1:]):
         attempts, entries = dump(seed)
         print(seed, attempts, *entries)
+        for label, kwargs in (("max_attempts=5000", {"max_attempts": 5000}),
+                              ("rng_range=-1,1", {"rng_range": (-1.0, 1.0)})):
+            got = outcome(random_reduced_superbase, seed, **kwargs)
+            print(seed, label, *(["none"] if isinstance(got, str) else [got[0], *got[1]]))
