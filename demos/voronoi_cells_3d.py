@@ -17,23 +17,22 @@ import numpy as np
 from latbabai import (
     KNOWN_LATTICES,
     as_basis,
-    classify_cell,
-    conorms,
     mc_pe_oracle,
     packing_density,
     pe_3d,
-    to_obtuse_superbase,
     volume,
     voronoi_cell_3d,
 )
 
+# pe_3d also reports the Selling parameters of the obtuse superbase it used
+# and the cell type they give
+results = {}
 print(f"{'lattice':28s} {'cell':26s} F  V  {'density':8s} {'pe (best)':10s}")
 for name, V in KNOWN_LATTICES.items():
     V = as_basis(V)
     cell = voronoi_cell_3d(V)
-    ctype = classify_cell(conorms(to_obtuse_superbase(V)))
-    result = pe_3d(V)
-    print(f"{name:28s} {ctype.value:26s} {cell.n_facets:2d} {cell.n_vertices:2d} "
+    result = results[name] = pe_3d(V)
+    print(f"{name:28s} {result.cell_type.value:26s} {cell.n_facets:2d} {cell.n_vertices:2d} "
           f"{packing_density(V):8.4f} {result.pe:10.6f}")
     # structural sanity: closed surface, correct volume
     cell.validate()
@@ -49,7 +48,7 @@ print(f"\n{'fcc, sheared basis':28s} {'(no obtuse superbase)':26s} {cell.n_facet
 # ordering sensitivity: the face-centered cubic lattice decodes differently
 # depending on which column goes last
 fcc = as_basis(KNOWN_LATTICES["fcc"])
-result = pe_3d(fcc)
+result = results["fcc"]
 print("\nface-centered cubic, error probability per column ordering:")
 for perm, pe in sorted(result.per_ordering.items()):
     marker = "  <- best" if perm == result.best_ordering else ""
@@ -57,13 +56,13 @@ for perm, pe in sorted(result.per_ordering.items()):
 
 # the same quantity estimated by Monte Carlo on the identity ordering
 est, se = mc_pe_oracle(fcc, samples=200000, seed=12)
-fixed = pe_3d(fcc, search_orderings=False).pe
+fixed = result.per_ordering[(0, 1, 2)]
 print(f"\nMonte Carlo at the given ordering: {est:.6f} +- {se:.6f} "
       f"(geometric value {fixed:.6f})")
 
 # conorm zero patterns behind the classification
 print("\nconorm values per lattice (order: 01 02 03 23 13 12)")
-for name, V in KNOWN_LATTICES.items():
-    con = conorms(to_obtuse_superbase(as_basis(V)))
-    vals = " ".join(f"{v:6.3f}" for v in con.values)
+for name, result in results.items():
+    con = np.maximum(-np.asarray(result.selling), 0.0)
+    vals = " ".join(f"{v:6.3f}" for v in con)
     print(f"  {name:28s} {vals}")

@@ -228,15 +228,13 @@ def _cmd_levels(args):
 def _cmd_pe3d(args):
     V = _load_lattice(args.lattice)
     result = pe_3d(V)
-    sb = to_obtuse_superbase(V)
-    cell = classify_cell(conorms(sb))
     _emit_json(args, {
         "pe": result.pe,
         "best_ordering": "".join(map(str, result.best_ordering)),
         "per_ordering": {
             "".join(map(str, perm)): pe for perm, pe in sorted(result.per_ordering.items())
         },
-        "cell_type": cell.value,
+        "cell_type": result.cell_type.value,
         "density": packing_density(V),
     })
     return 0
@@ -246,12 +244,10 @@ def _cmd_table1(args):
     rows = []
     for name, V in KNOWN_LATTICES.items():
         V = as_basis(V)
-        sb = to_obtuse_superbase(V)
-        selling = [-c for c in conorms(sb).values]
         result = pe_3d(V)
         rows.append((
             name,
-            ";".join(_g(s) for s in selling),
+            ";".join(_g(s) for s in np.minimum(result.selling, 0.0)),
             _g(packing_density(V)),
             _g(result.pe),
         ))

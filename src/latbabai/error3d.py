@@ -6,7 +6,8 @@ basis. Which of the five parallelohedron shapes appears is read off the zero
 pattern of the six conorms of an obtuse superbase. The decoding error
 probability is one minus the fraction of the cell volume captured by the
 rectangular decoding cell, minimized over column orderings of the generator;
-pe_3d builds the cell from the 14 superbase sums in the coefficient frame.
+pe_3d builds the cell from the 14 superbase sums in the coefficient frame and
+reports that superbase's Selling parameters and cell type, as scan records do.
 """
 
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from .polytope import (
     polytope_from_halfspaces,
     solve_triples,
 )
-from .reduction import PAIR_ORDER_3D, ConormSet, Superbase, _obtuse_superbases
+from .reduction import PAIR_ORDER_3D, ConormSet, _obtuse_superbases, _superbases
 
 
 class CellType(Enum):
@@ -54,11 +55,11 @@ FACET_COUNTS = {
 def voronoi_halfspaces(basis):
     """Bisector halfspaces {x : x.p <= p.p/2} of the Voronoi-relevant pairs +-p, one per facet.
 
-    basis is a full-rank 3x3 generator, or a Superbase through its basis(). Each
-    p is V c, c integer, from core's search on the columns sorted shortest first
-    (the lattice, and so its relevant vectors, do not depend on their order).
+    basis is a full-rank 3x3 generator. Each p is V c, c integer, from core's
+    search on the columns sorted shortest first (the lattice, and so its
+    relevant vectors, do not depend on their order).
     """
-    V = as_basis(basis.basis() if isinstance(basis, Superbase) else basis)
+    V = as_basis(basis)
     if V.shape != (3, 3):
         raise UnsupportedDimensionError("the 3D Voronoi cell needs a 3x3 generator")
     V = V[:, np.argsort(np.einsum("ij,ij->j", V, V), kind="stable")]
@@ -71,35 +72,11 @@ def voronoi_cell_3d(basis):
     A Voronoi cell tiles space, so a volume more than a relative 1e-9 from |det V|
     raises FloatingPointError, as do relevant pairs that span no cell (core._relevant_vectors).
     """
-    V = as_basis(basis.basis() if isinstance(basis, Superbase) else basis)
+    V = as_basis(basis)
     cell = polytope_from_halfspaces(*voronoi_halfspaces(V))
     if not abs(cell.volume / _volume(V) - 1.0) <= 1e-9:
         raise FloatingPointError(f"Voronoi cell volume {cell.volume:.6g} is not |det V| = {_volume(V):.6g}")
     return cell
-
-
-def voronoi_vertices_conorm_formula(sb):
-    """Cell vertex candidates from the conorms, one per labeling (24 rows).
-
-    Each permutation (i, j, k, l) of the superbase labels fixes a vertex by
-    its inner products y_m = t . v_m; the Cartesian point is recovered through
-    the transposed basis inverse. With all conorms positive these are the 24
-    distinct vertices of the cell; zero conorms collapse some of them.
-    """
-    if sb.n != 3:
-        raise UnsupportedDimensionError("conorm vertex formula needs n = 3")
-    P = np.maximum(-sb.selling, 0.0)
-    np.fill_diagonal(P, 0.0)
-    back = np.linalg.inv(sb.basis().T)
-    pts = []
-    for i, j, k, l in permutations(range(4)):
-        y = np.empty(4)
-        y[i] = P[i, j] + P[i, k] + P[i, l]
-        y[j] = -P[j, i] + P[j, k] + P[j, l]
-        y[k] = -P[k, i] - P[k, j] + P[k, l]
-        y[l] = -P[l, i] - P[l, j] - P[l, k]
-        pts.append(back @ (0.5 * y[1:]))
-    return np.array(pts)
 
 
 def classify_cell(c, tol=1e-9):
@@ -136,6 +113,8 @@ class Pe3DResult(NamedTuple):
     pe: float
     best_ordering: tuple
     per_ordering: dict
+    selling: tuple  # Selling parameters of the kernel's obtuse superbase, in PAIR_ORDER_3D
+    cell_type: CellType
 
 
 # orderings whose P_e lies within this of the minimum count as tied
@@ -175,8 +154,8 @@ def _triple_tables():
     return tables
 
 
-def _pe_orderings(A, signs, orders):
-    """P_e (L, k) of each column ordering of a stack of L Gram matrices A (L, 3, 3),
+def _pe_orderings(A, signs):
+    """P_e (L, 6) in each of ORDERINGS of a stack of L Gram matrices A (L, 3, 3),
     in coefficients u (x = V u), given the obtuse superbase signs (L, 3).
 
     The 14 cell planes (A k).u <= k^T A k / 2 run over the superbase sums k
@@ -220,7 +199,7 @@ def _pe_orderings(A, signs, orders):
     ], axis=1)
     solvable = np.hstack([np.repeat(live, 2, axis=1), np.ones((n, len(fixed_triples)), dtype=bool)])
 
-    P = np.array(orders)
+    P = np.array(ORDERINGS)
     k = len(P)
     L = np.linalg.cholesky(A[:, P[:, :, None], P[:, None, :]])
     M = L.swapaxes(-1, -2) / np.diagonal(L, axis1=-2, axis2=-1)[..., None]
@@ -246,19 +225,24 @@ def _pe_orderings(A, signs, orders):
 
 
 def _frames(bases):
-    """Gram matrices A (L, 3, 3), obtuse superbase signs (L, 3) and Selling
-    matrices S (L, 4, 4) of L 3x3 generators, each scaled so that its first
-    column has norm 1; one sign search serves the whole stack."""
+    """Gram matrices A (L, 3, 3) of L 3x3 generators, each scaled so that its
+    first column has norm 1, the obtuse superbase signs (L, 3) that one sign
+    search finds for the stack, and the Selling matrices S (L, 4, 4) of those
+    superbases in the generators' own units."""
     V = np.array([B / np.linalg.norm(B[:, 0]) for B in bases])
-    _, S, signs = _obtuse_superbases(V)
+    signs = _obtuse_superbases(V)[2]
     G = V.swapaxes(-1, -2) @ V
-    return 0.5 * (G + G.swapaxes(-1, -2)), signs, S
+    return 0.5 * (G + G.swapaxes(-1, -2)), signs, _superbases(np.array(bases), signs)[1]
 
 
-def _pe_stack(bases, orders):
-    """P_e (L, k) of L 3x3 generators in each column ordering, in one kernel pass."""
-    A, signs, _ = _frames(bases)
-    return _pe_orderings(A, signs, orders)
+def _pe_stack(bases):
+    """P_e (L, 6) of L 3x3 generators in each of ORDERINGS, in one kernel pass,
+    and the Selling parameters (PAIR_ORDER_3D) and cell type of the obtuse
+    superbase the kernel used for each."""
+    A, signs, S = _frames(bases)
+    i, j = np.transpose(PAIR_ORDER_3D)
+    cells = [(tuple(float(x) for x in p), classify_cell(np.maximum(-p, 0.0))) for p in S[:, i, j]]
+    return _pe_orderings(A, signs), cells
 
 
 def _best_ordering(pes):
@@ -266,7 +250,7 @@ def _best_ordering(pes):
     return int(np.argmax(pes <= pes.min() + ORDERING_TIE_TOL))
 
 
-def pe_3d(basis, search_orderings=True):
+def pe_3d(basis):
     """Nearest-plane error probability of a 3D generator, per column ordering.
 
     Works in the coefficient frame x = V u, where only A = V^T V matters and
@@ -275,16 +259,17 @@ def pe_3d(basis, search_orderings=True):
     its Babai box. P_e = 1 - vol_u(cell & box), computed for all orderings in
     one vectorized pass (a stack of one lattice). Returns the minimum, the
     ordering achieving it (the lexicographically first of those within
-    ORDERING_TIE_TOL of the minimum), and the full per-ordering table.
+    ORDERING_TIE_TOL of the minimum), the full per-ordering table, and the
+    Selling parameters (in PAIR_ORDER_3D and V's units, unclamped) and cell
+    type of the obtuse superbase that cut the cell.
     """
     V = as_basis(basis)
     if V.shape[0] != 3:
         raise UnsupportedDimensionError("pe_3d needs a 3x3 generator")
-    orders = ORDERINGS if search_orderings else ((0, 1, 2),)
-    pes = _pe_stack([V], orders)[0]
-    per = {perm: float(pe) for perm, pe in zip(orders, pes)}
-    best = orders[_best_ordering(pes)]
-    return Pe3DResult(per[best], best, per)
+    (pes,), (cell,) = _pe_stack([V])
+    per = {perm: float(pe) for perm, pe in zip(ORDERINGS, pes)}
+    best = ORDERINGS[_best_ordering(pes)]
+    return Pe3DResult(per[best], best, per, *cell)
 
 
 def random_reduced_superbase(rng_seed=None, rng_range=(-4.0, 4.0), max_attempts=10**6):
@@ -379,28 +364,12 @@ def _scan_sample(trial_seed, density_floor):
 
 
 def _scan_records(samples):
-    """Scan records of a stack of samples, through one pe_3d kernel pass. A
-    sampled basis has first column (1, 0, 0) and is obtuse as given, so its
-    frame's S is the Selling matrix of Superbase.from_basis(V), bit for bit."""
-    A, signs, S = _frames([V for _, V, _ in samples])
-    pes = _pe_orderings(A, signs, ORDERINGS)
-    i, j = np.transpose(PAIR_ORDER_3D)
+    """Scan records of a stack of samples, through one pe_3d kernel pass."""
+    pes, cells = _pe_stack([V for _, V, _ in samples])
     return [
-        ScanRecord(
-            selling=tuple(float(x) for x in p),
-            density=float(dens),
-            pe=float(pe[_best_ordering(pe)]),
-            cell_type=classify_cell(np.maximum(-p, 0.0)),
-            seed=seed,
-        )
-        for (seed, _, dens), pe, p in zip(samples, pes, S[:, i, j])
+        ScanRecord(selling, float(dens), float(pe[_best_ordering(pe)]), cell_type, seed)
+        for (seed, _, dens), pe, (selling, cell_type) in zip(samples, pes, cells)
     ]
-
-
-def _scan_one(trial_seed, density_floor):
-    """The record of one trial, or None below the density floor."""
-    sample = _scan_sample(trial_seed, density_floor)
-    return None if sample is None else _scan_records([sample])[0]
 
 
 def scan_random(trials, density_floor=0.4, seed=None):

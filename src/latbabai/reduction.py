@@ -2,7 +2,9 @@
 
 A superbase appends v_0 = -(v_1 + ... + v_n) to a basis. It is obtuse when
 all pairwise inner products (Selling parameters) are nonpositive; their
-negatives, the conorms, drive the Voronoi cell constructions in 3D.
+negatives, the conorms, drive the Voronoi cell constructions in 3D. The
+Minkowski and obtuseness tests allow the fixed relative slack MINKOWSKI_TOL
+and OBTUSE_TOL.
 """
 
 from dataclasses import dataclass
@@ -12,13 +14,16 @@ import numpy as np
 
 from .core import as_basis, gram, round_half_up
 
+MINKOWSKI_TOL = 1e-9
 OBTUSE_TOL = 1e-10
 
 # canonical ordering of the six 3D index pairs; entries k and k+3 are the
 # complementary pairs {01,23}, {02,13}, {03,12}
 PAIR_ORDER_3D = ((0, 1), (0, 2), (0, 3), (2, 3), (1, 3), (1, 2))
-# row i marks the pairs that contain label i
-_LABEL_OF_PAIR = np.array([[i in pair for pair in PAIR_ORDER_3D] for i in range(4)], dtype=float)
+# row S marks the pairs across the cut S | {0..3} - S, over the nonempty S in {1, 2, 3}
+_CUT_OF_PAIR = np.array([
+    [(i in S) != (j in S) for i, j in PAIR_ORDER_3D] for S in ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3))
+], dtype=float)
 
 
 class ObtuseSuperbaseNotFound(ValueError):
@@ -36,13 +41,14 @@ class MinkowskiReport:
         return self.reduced
 
 
-def is_minkowski_reduced(A, tol=1e-9):
+def is_minkowski_reduced(A):
     """Test the n <= 3 Minkowski conditions on a Gram matrix.
 
     n = 1: 0 < a11. n = 2 adds a11 <= a22 and 2|a12| <= a11. n = 3 further
     requires a22 <= a33, 2|a13| <= a11, 2|a23| <= a22 and, over all eight
     sign choices, 2|s1 a12 + s2 a13 + s3 a23| <= a11 + a22. Each bound is
-    relaxed by the factor 1 + tol, so neither scale nor anisotropy matters.
+    relaxed by the factor 1 + MINKOWSKI_TOL, so neither scale nor anisotropy
+    matters.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
@@ -51,16 +57,16 @@ def is_minkowski_reduced(A, tol=1e-9):
     if A[0, 0] <= 0.0:
         return MinkowskiReport(False, "a11 <= 0")
     for s in range(n - 1):
-        if A[s, s] > A[s + 1, s + 1] * (1.0 + tol):
+        if A[s, s] > A[s + 1, s + 1] * (1.0 + MINKOWSKI_TOL):
             return MinkowskiReport(False, f"a{s+1}{s+1} > a{s+2}{s+2}")
     for s in range(n):
         for t in range(s + 1, n):
-            if 2.0 * abs(A[s, t]) > A[s, s] * (1.0 + tol):
+            if 2.0 * abs(A[s, t]) > A[s, s] * (1.0 + MINKOWSKI_TOL):
                 return MinkowskiReport(False, f"2|a{s+1}{t+1}| > a{s+1}{s+1}")
     if n == 3:
         for s1, s2, s3 in product((1, -1), repeat=3):
             lhs = 2.0 * abs(s1 * A[0, 1] + s2 * A[0, 2] + s3 * A[1, 2])
-            if lhs > (A[0, 0] + A[1, 1]) * (1.0 + tol):
+            if lhs > (A[0, 0] + A[1, 1]) * (1.0 + MINKOWSKI_TOL):
                 return MinkowskiReport(False, "2|±a12±a13±a23| > a11 + a22")
     return MinkowskiReport(True)
 
@@ -112,8 +118,7 @@ class Superbase:
     @property
     def selling(self):
         """Full (n+1)x(n+1) inner product matrix; off-diagonal entries are the Selling parameters."""
-        S = self.vectors @ self.vectors.T
-        return 0.5 * (S + S.T)
+        return _selling(self.vectors)
 
     def selling_pairs(self):
         """Selling parameters p_ij in the canonical pair order (3D) or (01, 02, 12) for n = 2."""
@@ -122,15 +127,9 @@ class Superbase:
             return np.array([S[i, j] for i, j in PAIR_ORDER_3D])
         return np.array([S[i, j] for i in range(self.n + 1) for j in range(i + 1, self.n + 1)])
 
-    def is_obtuse(self, tol=OBTUSE_TOL):
-        """Every Selling parameter p_ij is at most tol * |v_i| |v_j|.
-
-        The bound is per pair, so the test depends on neither the scale nor
-        the anisotropy of the superbase.
-        """
-        S = self.selling
-        d = np.sqrt(S.diagonal())
-        return bool((np.triu(S, 1) <= tol * np.outer(d, d)).all())
+    def is_obtuse(self):
+        """Every Selling parameter p_ij is at most OBTUSE_TOL * |v_i| |v_j| (_obtuse)."""
+        return bool(_obtuse(self.selling))
 
     def basis(self):
         """Generator matrix with columns v_1..v_n."""
@@ -139,26 +138,43 @@ class Superbase:
     @classmethod
     def from_basis(cls, V):
         V = as_basis(V)
-        rows = V.T
-        return cls(np.vstack([-rows.sum(axis=0), rows]))
+        return cls(_superbases(V, np.ones(len(V)))[0])
 
 
-def _obtuse_superbases(V, tol=OBTUSE_TOL):
+def _selling(W):
+    """Inner product matrices (..., n + 1, n + 1) of superbase rows W (..., n + 1, n)."""
+    S = W @ W.swapaxes(-1, -2)
+    return 0.5 * (S + S.swapaxes(-1, -2))
+
+
+def _superbases(V, signs):
+    """Superbase rows (..., n + 1, n) of the bases V (..., n, n) with their
+    columns multiplied by signs (..., n), and their Selling matrices."""
+    rows = (V * signs[..., None, :]).swapaxes(-1, -2)
+    W = np.concatenate([-rows.sum(axis=-2, keepdims=True), rows], axis=-2)
+    return W, _selling(W)
+
+
+def _obtuse(S):
+    """Whether every Selling parameter p_ij of S (..., n + 1, n + 1) is at most
+    OBTUSE_TOL * |v_i| |v_j|. The bound is per pair, so the test depends on
+    neither the scale nor the anisotropy of the superbase."""
+    d = np.sqrt(np.diagonal(S, axis1=-2, axis2=-1))
+    return (np.triu(S, 1) <= OBTUSE_TOL * (d[..., :, None] * d[..., None, :])).all(axis=(-2, -1))
+
+
+def _obtuse_superbases(V):
     """Obtuse superbases of a stack of bases V (L, n, n), n <= 3, by sign search.
 
     All 2^n sign flips of the basis vectors are tested at once with
-    Superbase.is_obtuse's arithmetic, and each basis keeps the first obtuse
+    Superbase.is_obtuse's predicate, and each basis keeps the first obtuse
     flip in a fixed order, identity first. Returns the superbase vectors
     (L, n + 1, n) as rows, their Selling matrices (L, n + 1, n + 1) and the
     signs (L, n); raises ObtuseSuperbaseNotFound if some basis admits no flip.
     """
     signs = np.array(list(product((1.0, -1.0), repeat=V.shape[-1])))
-    rows = (V[:, None] * signs[:, None, :]).swapaxes(-1, -2)
-    W = np.concatenate([-rows.sum(axis=-2, keepdims=True), rows], axis=-2)
-    S = W @ W.swapaxes(-1, -2)
-    S = 0.5 * (S + S.swapaxes(-1, -2))
-    d = np.sqrt(np.diagonal(S, axis1=-2, axis2=-1))
-    obtuse = (np.triu(S, 1) <= tol * (d[..., :, None] * d[..., None, :])).all(axis=(-2, -1))
+    W, S = _superbases(V[:, None], signs)
+    obtuse = _obtuse(S)
     if not obtuse.any(axis=1).all():
         raise ObtuseSuperbaseNotFound(
             "no sign pattern of the basis gives pairwise nonpositive inner products"
@@ -168,7 +184,7 @@ def _obtuse_superbases(V, tol=OBTUSE_TOL):
     return W[stack, first], S[stack, first], signs[first]
 
 
-def to_obtuse_superbase(V, tol=OBTUSE_TOL):
+def to_obtuse_superbase(V):
     """Search sign flips of the basis vectors for an obtuse superbase.
 
     For a Minkowski-reduced basis in n <= 3 some flip always works; bases that
@@ -178,10 +194,10 @@ def to_obtuse_superbase(V, tol=OBTUSE_TOL):
     V = as_basis(V)
     if V.shape[0] > 3:
         raise ValueError("obtuse superbase search implemented for n <= 3")
-    return Superbase(_obtuse_superbases(V[None], tol)[0][0])
+    return Superbase(_obtuse_superbases(V[None])[0][0])
 
 
-def superbase_to_minkowski(sb, tol=OBTUSE_TOL):
+def superbase_to_minkowski(sb):
     """Extract a Minkowski-reduced basis from an obtuse superbase.
 
     Sorting all n+1 vectors by norm and dropping the longest leaves a basis
@@ -189,7 +205,7 @@ def superbase_to_minkowski(sb, tol=OBTUSE_TOL):
     superbase in n <= 3 the kept vectors, in ascending norm order, satisfy
     the Minkowski conditions.
     """
-    if not sb.is_obtuse(tol):
+    if not sb.is_obtuse():
         raise ValueError("superbase is not obtuse")
     W = sb.vectors
     order = np.argsort([w @ w for w in W], kind="stable")
@@ -216,12 +232,15 @@ class ConormSet:
         return float(self.values[PAIR_ORDER_3D.index((i, j))])
 
     def zero_pattern(self, tol=1e-9):
-        """Index pairs whose conorm is at most tol times the squared norm of
-        the shortest superbase vector, so the pattern does not depend on scale.
+        """Index pairs whose conorm is at most tol times the smallest vonorm
+        |v_S|^2, the sum of the conorms across a cut S of the labels.
 
-        |v_i|^2 is the sum of the conorms at label i.
+        For an obtuse superbase that is the squared lattice minimum, so the
+        pattern depends neither on scale nor on how long the superbase
+        vectors are, and a cut whose conorms all count as zero (tol < 1/4)
+        has them exactly 0.
         """
-        bound = tol * (_LABEL_OF_PAIR @ self.values).min()
+        bound = tol * (_CUT_OF_PAIR @ self.values).min()
         return tuple(p for p, v in zip(PAIR_ORDER_3D, self.values) if v <= bound)
 
 

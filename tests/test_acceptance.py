@@ -266,7 +266,7 @@ def test_criterion_9_geometry_invariant_suite():
     sym_fail = euler_fail = 0
     for seed in range(100):
         V, _ = random_reduced_superbase(rng_seed=seed)
-        cell = voronoi_cell_3d(to_obtuse_superbase(V))
+        cell = voronoi_cell_3d(to_obtuse_superbase(V).basis())
         vol_worst = max(vol_worst, abs(cell.volume - volume(V)))
         if not cell.is_centrally_symmetric():
             sym_fail += 1

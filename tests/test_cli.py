@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from latbabai import __version__
+from latbabai import __version__, cli
 from latbabai.babai import is_babai_error
 from latbabai.cli import main
 from latbabai.lattices import BCC_UNIT, KNOWN_LATTICES
@@ -175,6 +175,29 @@ def test_table1_rows(capsys):
     assert float(by_name["bcc"][2]) == pytest.approx(0.6801, abs=1e-3)
     assert float(by_name["bcc"][3]) == pytest.approx(7.0 / 48.0, abs=1e-9)
     assert len(by_name["fcc"][1].split(";")) == 6
+
+
+def test_pe3d_and_table1_search_for_the_superbase_once(capsys, monkeypatch):
+    # pe_3d reports the Selling data and cell type of the superbase its
+    # kernel found, so the subcommands make no second sign search
+    calls = {"to_obtuse_superbase": 0, "conorms": 0}
+
+    def counted(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    run_json(capsys, "pe3d", "--lattice", "fcc")
+    assert run_cli(capsys, "table1")[0] == 0
+    assert calls == {"to_obtuse_superbase": 0, "conorms": 0}
+    run_json(capsys, "reduce", "--lattice", "fcc")  # the counters count
+    assert calls == {"to_obtuse_superbase": 1, "conorms": 1}
 
 
 def test_random_scan_structure_and_determinism(capsys):

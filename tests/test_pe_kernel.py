@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from latbabai import error3d
-from latbabai.error3d import ORDERINGS, _pe_stack, _triple_tables, random_reduced_superbase
+from latbabai.error3d import _pe_stack, _triple_tables, random_reduced_superbase
 from latbabai.lattices import KNOWN_LATTICES
 from test_pe3d_oracle import NEAR_DEGENERATE, basis_from_conorms
 
@@ -53,7 +53,7 @@ def moved_exemplars():
 
 def dump_lines():
     for bases in sampled_stacks() + [exemplar_stack(), moved_exemplars()]:
-        yield " ".join(float(pe).hex() for pe in _pe_stack(bases, ORDERINGS).ravel())
+        yield " ".join(float(pe).hex() for pe in _pe_stack(bases)[0].ravel())
 
 
 def test_triple_tables_skip_box_row_0():
@@ -87,7 +87,7 @@ def test_box_row_0_is_masked_and_never_solved(make_stacks, monkeypatch):
     monkeypatch.setattr(error3d, "distinct_planes", distinct_planes)
     monkeypatch.setattr(error3d, "solve_triples", solve_triples)
     for bases in stacks:
-        _pe_stack(bases, ORDERINGS)
+        _pe_stack(bases)
     assert len(masks) == len(stacks)
     for keep in masks:
         assert keep.shape[1:] == (20,)

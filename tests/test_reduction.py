@@ -14,7 +14,6 @@ from latbabai.lattices import (
     KNOWN_LATTICES,
 )
 from latbabai.reduction import (
-    OBTUSE_TOL,
     ConormSet,
     MinkowskiReport,
     ObtuseSuperbaseNotFound,
@@ -228,14 +227,14 @@ def test_superbase_from_basis_round_trip():
     assert np.allclose(sb.vectors[0], -V.sum(axis=1), atol=1e-12)
 
 
-def reference_obtuse_superbase(V, tol=OBTUSE_TOL):
+def reference_obtuse_superbase(V):
     """One Superbase per sign flip, identity first, until one is obtuse: the
     search the stacked `_obtuse_superbases` must reproduce bit for bit.
     Returns (superbase, signs), or None when no flip is obtuse."""
     for signs in product((1.0, -1.0), repeat=V.shape[0]):
         W = V * np.array(signs)[None, :]
         sb = Superbase(np.vstack([-W.T.sum(axis=0), W.T]))
-        if sb.is_obtuse(tol):
+        if sb.is_obtuse():
             return sb, np.array(signs)
     return None
 

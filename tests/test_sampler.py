@@ -25,7 +25,7 @@ import pytest
 
 from latbabai.core import packing_density
 from latbabai.error3d import _reduced_basis_density, random_reduced_superbase
-from latbabai.reduction import OBTUSE_TOL, Superbase, is_minkowski_reduced
+from latbabai.reduction import Superbase, is_minkowski_reduced
 
 BATCH = 8192
 # seed -> (attempts, float.hex of V row by row), with the default max_attempts
@@ -144,7 +144,7 @@ def test_sampled_basis_is_reduced_and_obtuse(seed, max_attempts):
     # predicates accept every basis it returns
     V, _ = random_reduced_superbase(rng_seed=seed, max_attempts=max_attempts)
     assert is_minkowski_reduced(V.T @ V)
-    assert Superbase.from_basis(V).is_obtuse(OBTUSE_TOL)
+    assert Superbase.from_basis(V).is_obtuse()
 
 
 @pytest.mark.parametrize("rng_range", [(-4.0, 4.0), (-1.0, 1.0), (-4.5, 3.25)])
