@@ -7,6 +7,7 @@ Everything here works on plain numpy arrays.
 
 import json
 import math
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -154,12 +155,6 @@ def checked_int64(B, X, caller):
     return B.astype(np.int64)
 
 
-def unit_volume_normalize(V):
-    """Rescale the basis so the fundamental cell has volume 1."""
-    V = as_basis(V)
-    return V / volume(V) ** (1.0 / V.shape[0])
-
-
 # nodes one closest-point search may visit before it refuses, about 0.1 s;
 # a query on the decode lattices visits at most 8, a reduced long one about 4
 SEARCH_NODE_LIMIT = 2**15
@@ -301,13 +296,23 @@ _BALL_VOLUME = {1: lambda r: 2.0 * r, 2: lambda r: np.pi * r**2, 3: lambda r: 4.
 
 
 def packing_density(V):
-    """Sphere packing density: vol(ball of packing radius) / vol(fundamental cell)."""
+    """Sphere packing density: vol(ball of packing radius) / vol(fundamental cell).
+
+    The density does not depend on scale. A basis whose volume leaves the
+    normal float range is first scaled by a power of two, which is exact, to
+    max |V_ij| in [1/2, 1); any other basis is used as given.
+    """
     V = as_basis(V)
     n = V.shape[0]
     if n not in _BALL_VOLUME:
         raise UnsupportedDimensionError("packing_density supports n in {1, 2, 3}")
+    with np.errstate(over="ignore"):
+        vol = _volume(V)
+    if not sys.float_info.min <= vol <= sys.float_info.max:
+        V = np.ldexp(V, -np.frexp(np.abs(V).max())[1])
+        vol = _volume(V)
     rho = 0.5 * _shortest_vector(V).norm
-    return float(_BALL_VOLUME[n](rho) / _volume(V))
+    return float(_BALL_VOLUME[n](rho) / vol)
 
 
 @dataclass(frozen=True)

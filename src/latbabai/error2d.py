@@ -16,7 +16,6 @@ from .polytope import (
     bisector_halfspaces,
     box_halfspaces,
     polygon_from_halfplanes,
-    polygon_from_vertices,
 )
 
 _REGIME_TOL = 1e-9
@@ -63,26 +62,6 @@ def _as_rb(rb):
         return rb
     a, b = rb
     return ReducedBasis2D(a, b)
-
-
-def voronoi_polygon_2d(rb):
-    """Voronoi cell of the lattice of rb: a hexagon, degenerating to a rectangle at a = 0.
-
-    With c = -|a| the six vertices are +-(1/2, h), +-(-1/2, h), +-((2c+1)/2, g)
-    where h = (c^2 + b^2 + c)/(2b) and g = (b^2 - c - c^2)/(2b); for a > 0 the
-    polygon is mirrored back through the y-axis.
-    """
-    rb = _as_rb(rb)
-    c, b = rb.canonical_a, rb.b
-    h = (c * c + b * b + c) / (2.0 * b)
-    g = (b * b - c - c * c) / (2.0 * b)
-    verts = np.array([
-        [0.5, h], [-0.5, h], [(2.0 * c + 1.0) / 2.0, g],
-        [-0.5, -h], [0.5, -h], [-(2.0 * c + 1.0) / 2.0, -g],
-    ])
-    if rb.a > 0:
-        verts[:, 0] *= -1.0
-    return polygon_from_vertices(verts)
 
 
 def pe_closed_form(rb):

@@ -8,6 +8,11 @@ probability is one minus the fraction of the cell volume captured by the
 rectangular decoding cell, minimized over column orderings of the generator;
 pe_3d builds the cell from the 14 superbase sums in the coefficient frame and
 reports that superbase's Selling parameters and cell type, as scan records do.
+Its kernel has two routes: a cell of the generic type, with simple cuts,
+takes the fixed vertices and edges of _cell_tables, solves only the box
+triples that can be vertices and sums the volume at the vertices
+(_pe_generic); any other cell is searched for its vertices and its facets
+are assembled (_pe_orderings).
 """
 
 from dataclasses import dataclass
@@ -21,6 +26,7 @@ import numpy as np
 from .core import UnsupportedDimensionError, _relevant_vectors, _volume, as_basis, qr_upper
 from .polytope import (
     VERTEX_TOL,
+    _cross,
     assemble_polytopes,
     bisector_halfspaces,
     compact_rows,
@@ -29,6 +35,7 @@ from .polytope import (
     plane_slack,
     polytope_from_halfspaces,
     solve_triples,
+    vertex_volume,
 )
 from .reduction import PAIR_ORDER_3D, ConormSet, _obtuse_superbases, _superbases
 
@@ -129,6 +136,8 @@ _SUM_COEFFS = np.array(
 # and box plane 14 + (m + 3) mod 6 is box plane 14 + m negated
 _MIRROR = np.concatenate([np.arange(7, 14), np.arange(7), np.arange(17, 20), np.arange(14, 17)])
 _MIRROR.flags.writeable = False
+# the box edges: pairs of non-parallel box planes, leaving out box row 0
+_BOX_EDGES = ((15, 16), (15, 19), (16, 18), (18, 19))
 
 
 @cache
@@ -145,7 +154,7 @@ def _triple_tables():
     Box row 0 (planes 14, 17) repeats a cell plane pair and is in no triple.
     """
     cell = np.array(list(combinations(range(14), 3)))
-    edges = np.array([(14 + a, 14 + b) for a, b in combinations((1, 2, 4, 5), 2) if a % 3 != b % 3])
+    edges = np.array(_BOX_EDGES)
     fixed = np.column_stack([np.repeat(np.arange(14), len(edges)), np.tile(edges, (14, 1))])
     key = np.array([400, 20, 1])  # plane indices are below 20: keys sort triples lexicographically
     tables = tuple(t[t @ key < np.sort(_MIRROR[t], axis=1) @ key] for t in (cell, fixed))
@@ -154,15 +163,72 @@ def _triple_tables():
     return tables
 
 
+@cache
+def _cell_tables():
+    """The cell of a generic obtuse superbase as plane indices (Conway & Sloane,
+    "Low-dimensional lattices VI", Proc. R. Soc. A 436, 1992).
+
+    Cell plane i < 7 bisects the superbase sum over the labels of _SUM_COEFFS
+    row i, a subset of {1, 2, 3}; plane i + 7 bisects the sum over its
+    complement in {0, 1, 2, 3}. Each of the 24 orderings of the four labels
+    gives a vertex, on the planes of the chain S1 < S2 < S3 of its first
+    one, two and three labels, and the nested pairs S < T are the 36 edges.
+    Returns the 12 chain triples of _triple_tables()[0] (one of each mirror
+    pair, in that table's order), the edges (36, 2) as plane pairs f < g in
+    row-major order, and their endpoints (36, 2, 2) as (chain triple i, +1)
+    for its vertex x or (i, -1) for the mirror vertex -x.
+    """
+    labels = [frozenset(int(j) + 1 for j in np.flatnonzero(row)) for row in _SUM_COEFFS]
+    labels += [frozenset(range(4)) - s for s in labels]
+    plane = {s: i for i, s in enumerate(labels)}
+    chains = sorted(tuple(sorted(plane[frozenset(p[:m])] for m in (1, 2, 3))) for p in permutations(range(4)))
+    half = _triple_tables()[0]
+    half = half[[tuple(t) in chains for t in half.tolist()]]
+    vertex = {tuple(t): (i, 1) for i, t in enumerate(half.tolist())}
+    vertex |= {tuple(sorted(_MIRROR[t].tolist())): (i, -1) for i, t in enumerate(half.tolist())}
+    nested = [(f, g) for f, g in combinations(range(14), 2) if labels[f] < labels[g] or labels[g] < labels[f]]
+    edges = np.array(nested)
+    ends = np.array([[vertex[t] for t in chains if f in t and g in t] for f, g in edges])
+    for table in (half, edges, ends):
+        table.flags.writeable = False
+    return half, edges, ends
+
+
+def _cell_planes(A, signs):
+    """The 14 unit cell planes (L, 14, 3), (L, 14) of Gram matrices A with
+    obtuse superbase signs: (A k).u <= k^T A k / 2 for k = _SUM_COEFFS rows
+    times signs, then their mirrors -k."""
+    K = _SUM_COEFFS * signs[:, None, :]
+    AK = K @ A
+    Nc, cc = normalize_halfspaces(AK, 0.5 * np.einsum("lij,lij->li", AK, K))
+    return np.concatenate([Nc, -Nc], axis=1), np.concatenate([cc, cc], axis=1)
+
+
+def _polytope_planes(A, Nc, cc):
+    """The 20 unit planes (L k, 20, 3), (L k, 20) of each lattice in each of
+    the k ORDERINGS: the cell planes, then box planes 14..19. Polytope
+    l * k + o is lattice l in ordering o, whose box |(M P^T u)_m| <= 1/2 has
+    M = L^T / diag(L), L = cholesky(A[p][:, p])."""
+    P = np.array(ORDERINGS)
+    n, k = len(A), len(P)
+    L = np.linalg.cholesky(A[:, P[:, :, None], P[:, None, :]])
+    M = L.swapaxes(-1, -2) / np.diagonal(L, axis1=-2, axis2=-1)[..., None]
+    Nb = np.zeros((n, k, 3, 3))
+    np.put_along_axis(Nb, np.broadcast_to(P[:, None, :], Nb.shape), M, axis=-1)
+    Nb, cb = normalize_halfspaces(np.concatenate([Nb, -Nb], axis=-2), np.full((n, k, 6), 0.5))
+    N = np.concatenate([np.broadcast_to(Nc[:, None], (n, k, 14, 3)), Nb], axis=-2).reshape(-1, 20, 3)
+    c = np.concatenate([np.broadcast_to(cc[:, None], (n, k, 14)), cb], axis=-1).reshape(-1, 20)
+    return N, c
+
+
 def _pe_orderings(A, signs):
     """P_e (L, 6) in each of ORDERINGS of a stack of L Gram matrices A (L, 3, 3),
     in coefficients u (x = V u), given the obtuse superbase signs (L, 3).
 
-    The 14 cell planes (A k).u <= k^T A k / 2 run over the superbase sums k
-    with the obtuse signs; ordering p adds the box |(M P^T u)_m| <= 1/2 with
-    M = L^T / diag(L), L = cholesky(A[p][:, p]). Cell and box both have
-    volume 1 in u, so P_e = 1 - vol_u(cell & box). The L·k polytopes share
-    one engine pass, and each lattice's values are those of a stack of one.
+    Each ordering's box (_polytope_planes) cuts the cell (_cell_planes).
+    Cell and box both have volume 1 in u, so P_e = 1 - vol_u(cell & box).
+    The L·k polytopes share one engine pass, and each lattice's values are
+    those of a stack of one.
 
     Cell and box are centrally symmetric, and their planes come in exact
     +- pairs (_MIRROR). Negating a triple's three normals, in order, keeps
@@ -172,10 +238,7 @@ def _pe_orderings(A, signs):
     """
     cell_triples, fixed_triples = _triple_tables()
     n = len(A)
-    K = _SUM_COEFFS * signs[:, None, :]
-    AK = K @ A
-    Nc, cc = normalize_halfspaces(AK, 0.5 * np.einsum("lij,lij->li", AK, K))
-    Nc, cc = np.concatenate([Nc, -Nc], axis=1), np.concatenate([cc, cc], axis=1)
+    Nc, cc = _cell_planes(A, signs)
     # cell vertices are shared by all orderings. A vertex on two cell planes
     # and one box plane lies on a cell edge or is a cell vertex, so only pairs
     # of cell planes through a common cell vertex need solving with box planes
@@ -199,16 +262,8 @@ def _pe_orderings(A, signs):
     ], axis=1)
     solvable = np.hstack([np.repeat(live, 2, axis=1), np.ones((n, len(fixed_triples)), dtype=bool)])
 
-    P = np.array(ORDERINGS)
-    k = len(P)
-    L = np.linalg.cholesky(A[:, P[:, :, None], P[:, None, :]])
-    M = L.swapaxes(-1, -2) / np.diagonal(L, axis1=-2, axis2=-1)[..., None]
-    Nb = np.zeros((n, k, 3, 3))
-    np.put_along_axis(Nb, np.broadcast_to(P[:, None, :], Nb.shape), M, axis=-1)
-    Nb, cb = normalize_halfspaces(np.concatenate([Nb, -Nb], axis=-2), np.full((n, k, 6), 0.5))
-    # polytope l * k + o is lattice l in ordering o
-    N = np.concatenate([np.broadcast_to(Nc[:, None], (n, k, 14, 3)), Nb], axis=-2).reshape(-1, 20, 3)
-    c = np.concatenate([np.broadcast_to(cc[:, None], (n, k, 14)), cb], axis=-1).reshape(-1, 20)
+    k = len(ORDERINGS)
+    N, c = _polytope_planes(A, Nc, cc)
     # a box plane within GEOM_TOL of a cell plane is that plane: always for
     # box row 0, (A e_p0).u <= A_p0p0 / 2, kept only to be masked here and
     # solved in no triple, and at a conorm below GEOM_TOL, where dropping it
@@ -224,6 +279,124 @@ def _pe_orderings(A, signs):
     return np.clip(1.0 - vol, 0.0, 1.0)
 
 
+# a box-stage triple is solved when its vertex can lie within this of the cut
+_SELECT_TOL = 1e-9
+
+
+@cache
+def _box_stage_tables():
+    """The box-stage triples of _pe_generic and where its selection reads.
+
+    Returns the 100 triples: each edge of _cell_tables with box plane 15,
+    then 16, in edge order (the mirror triples bring 18, 19), then the 28
+    of _triple_tables()[1]; the index (36, 2, 2) of each edge endpoint's
+    slack at box planes 15 and 16 into a flattened (12, 20) slack table of
+    the chain vertices, where -x has at plane q the slack of x at
+    _MIRROR[q]; and the index (28,) of each of the 28 triples, (cell plane
+    f, box edge a-b), into a flattened (4, 14) table of the _BOX_EDGES
+    lines against the cell planes.
+    """
+    _, edges, ends = _cell_tables()
+    fixed = _triple_tables()[1]
+    box = np.array([15, 16])
+    edge_box = np.column_stack([np.repeat(edges, 2, axis=0), np.tile(box, len(edges))])
+    triples = np.concatenate([edge_box, fixed])
+    at = ends[:, None, :, 0] * 20 + np.where(ends[:, None, :, 1] > 0, box[:, None], _MIRROR[box][:, None])
+    clip = np.array([_BOX_EDGES.index((a, b)) * 14 + f for f, a, b in fixed.tolist()])
+    for table in (triples, at, clip):
+        table.flags.writeable = False
+    return triples, at, clip
+
+
+def _cell_template(Nc, cc):
+    """The vertices (L, 12, 3) of the chain triples of _cell_tables on the
+    cell planes of L lattices, and a mask (L,) of the cells they describe:
+    all 12 triples solve and each vertex has slack above VERTEX_TOL at the
+    11 cell planes it is not on, so that these (and their mirrors) are the
+    cell's only vertices and the cell is simple."""
+    chains = _cell_tables()[0]
+    X, ok = solve_triples(Nc, cc, np.broadcast_to(chains, (len(Nc),) + chains.shape))
+    own = (chains[..., None] == np.arange(14)).any(axis=1)
+    return X, ok.all(axis=1) & ((plane_slack(Nc, cc, X) > VERTEX_TOL) | own).all(axis=(1, 2))
+
+
+def _enter_leave(N, c):
+    """Mask (B, 4, 14) of the cell planes where each _BOX_EDGES line enters
+    or leaves the cell, within _SELECT_TOL along the line.
+
+    The line is x0 + t e with |e| = 1; cell plane f bounds t at
+    (c_f - n_f.x0) / (n_f.e), from below where n_f.e < 0, and the line's
+    interval in the cell runs from the largest lower bound to the smallest
+    upper one.
+    """
+    a, b = np.transpose(_BOX_EDGES)
+    e = _cross(N[:, a], N[:, b])
+    ee = np.einsum("...d,...d->...", e, e)[..., None]
+    x0 = (c[:, a, None] * _cross(N[:, b], e) + c[:, b, None] * _cross(e, N[:, a])) / ee
+    e /= np.sqrt(ee)
+    Ncell = N[:, :14].swapaxes(-1, -2)
+    rate = e @ Ncell
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (c[:, None, :14] - x0 @ Ncell) / rate
+    lo = np.where(rate < 0, t, -np.inf).max(axis=-1, keepdims=True)
+    hi = np.where(rate > 0, t, np.inf).min(axis=-1, keepdims=True)
+    return ((rate < 0) & (t >= lo - _SELECT_TOL)) | ((rate > 0) & (t <= hi + _SELECT_TOL))
+
+
+def _pe_generic(A, signs):
+    """P_e (L, 6) as in _pe_orderings for the lattices whose cell has the
+    generic type and whose six cut polytopes are simple, and a mask (L,) of
+    those lattices; the other rows of P_e are unset.
+
+    Lattices whose _cell_template fails leave before the box stage. For the
+    others, a vertex of cell & box is a cell vertex, a cell edge crossing a
+    box plane, or a box edge line entering or leaving the cell, so only
+    those box-stage triples are solved, in one call: an edge with a box
+    plane when its endpoints' slacks there straddle 0 within _SELECT_TOL,
+    and a _triple_tables()[1] triple when its cell plane is where its box
+    edge line enters or leaves the cell (_enter_leave). vertex_volume holds
+    only for simple polytopes, so a lattice also leaves when some
+    ordering's polytope has a feasible vertex within VERTEX_TOL of a kept
+    plane outside its triple, or V vertices on F planes with
+    F != 2 + V / 2 (Euler's relation for a simple polytope).
+    """
+    chains = _cell_tables()[0]
+    triples, at, clip = _box_stage_tables()
+    n, k = len(A), len(ORDERINGS)
+    pes = np.empty((n, k))
+    Nc, cc = _cell_planes(A, signs)
+    Xv, done = _cell_template(Nc, cc)
+    if not done.any():
+        return pes, done
+    N, c = _polytope_planes(A[done], Nc[done], cc[done])
+    keep = distinct_planes(N, c)
+    Xv = np.repeat(Xv[done], k, axis=0)
+    Sv = plane_slack(N, c, Xv)
+    B = len(N)
+    # the slacks of each edge's two endpoints at box planes 15 and 16
+    straddle = Sv.reshape(B, -1)[:, at]
+    straddle = (straddle.min(axis=-1) <= _SELECT_TOL) & (straddle.max(axis=-1) >= -_SELECT_TOL)
+    select = np.hstack([straddle.reshape(B, -1), _enter_leave(N, c).reshape(B, -1)[:, clip]])
+    select &= keep[:, triples].all(axis=-1)
+    select, triples = compact_rows(select, np.broadcast_to(triples, (B,) + triples.shape))
+    Xb, okb = solve_triples(N, c, triples)
+    # the cell vertices, then the box-stage vertices in table order
+    X = np.concatenate([Xv, Xb], axis=1)
+    triples = np.concatenate([np.broadcast_to(chains, (B,) + chains.shape), triples], axis=1)
+    slack = np.concatenate([Sv, plane_slack(N, c, Xb)], axis=1)
+    feas = np.hstack([np.ones(Xv.shape[:2], dtype=bool), okb & select])
+    feas &= ((slack >= -VERTEX_TOL) | ~keep[:, None]).all(axis=-1)
+    on = (triples[..., None] == np.arange(20)).any(axis=-2)
+    simple = ~(feas[..., None] & keep[:, None] & ~on & (np.abs(slack) <= VERTEX_TOL)).any(axis=(1, 2))
+    touched = (on & feas[..., None]).any(axis=1)
+    touched |= touched[:, _MIRROR]
+    simple &= touched.sum(axis=1) == 2 + feas.sum(axis=1)
+    vol = 2.0 * vertex_volume(N, c, X, triples, feas)
+    pes[done] = np.clip(1.0 - vol, 0.0, 1.0).reshape(-1, k)
+    done[done] = simple.reshape(-1, k).all(axis=1)
+    return pes, done
+
+
 def _frames(bases):
     """Gram matrices A (L, 3, 3) of L 3x3 generators, each scaled so that its
     first column has norm 1, the obtuse superbase signs (L, 3) that one sign
@@ -236,13 +409,23 @@ def _frames(bases):
 
 
 def _pe_stack(bases):
-    """P_e (L, 6) of L 3x3 generators in each of ORDERINGS, in one kernel pass,
-    and the Selling parameters (PAIR_ORDER_3D) and cell type of the obtuse
-    superbase the kernel used for each."""
+    """P_e (L, 6) of L 3x3 generators in each of ORDERINGS, and the Selling
+    parameters (PAIR_ORDER_3D) and cell type of the obtuse superbase the
+    kernel used for each.
+
+    Each lattice takes one of two routes, chosen from its geometry: the
+    lattices whose cell has the generic type and whose cut polytopes are
+    simple, every sampled basis among them, go through _pe_generic; the
+    rest, the zero-conorm cells among them, through _pe_orderings in one
+    stack. Either way a lattice's values are those of a stack of one.
+    """
     A, signs, S = _frames(bases)
     i, j = np.transpose(PAIR_ORDER_3D)
     cells = [(tuple(float(x) for x in p), classify_cell(np.maximum(-p, 0.0))) for p in S[:, i, j]]
-    return _pe_orderings(A, signs), cells
+    pes, done = _pe_generic(A, signs)
+    if not done.all():
+        pes[~done] = _pe_orderings(A[~done], signs[~done])
+    return pes, cells
 
 
 def _best_ordering(pes):
@@ -379,12 +562,15 @@ def scan_random(trials, density_floor=0.4, seed=None):
     Each trial gets its own seed split from the master seed, so any record can
     be regenerated alone from its seed. Trials run in order; those that pass
     the floor go through the P_e kernel SCAN_STACK at a time, and the records
-    come out in trial order.
+    come out in trial order. A NaN or +inf floor raises ValueError; -inf
+    keeps every trial.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     if np.isnan(density_floor):
         raise ValueError("density_floor must be a number, got NaN")
+    if density_floor == np.inf:
+        raise ValueError("density_floor +inf keeps no trial")
     trial_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(trials)]
     records, stack = [], []
     for s in trial_seeds:

@@ -17,7 +17,9 @@ it works on stacks of polytopes at once:
   VERTEX_TOL of it) by angle about their centroid, which gives the facet
   cycles, and sums the volume as sum_f c_f area_f / 3. Given a mirror map
   of the planes, it takes one candidate of each +-x pair and builds one
-  facet of each pair (centrally symmetric polytopes, as in pe_3d).
+  facet of each pair (centrally symmetric polytopes, as in pe_3d);
+- `vertex_volume` sums the volume of simple polytopes at their vertices,
+  from each vertex's plane triple, with no merge and no facet cycles.
 
 The tolerance is absolute, so `polytope_from_halfspaces` scales the
 offsets to max |c| = 1 before it calls the engine and gives the same answer
@@ -272,6 +274,36 @@ def assemble_polytopes(N, c, keep, X, ok, mirror=None):
     area = 0.5 * (a * np.roll(b, -1, axis=-1) - np.roll(a, -1, axis=-1) * b).sum(axis=-1)
     volume = (c * area / 3.0).sum(axis=-1)
     return Assembly(X, feas, order, sizes, volume if mirror is None else 2.0 * volume)
+
+
+def vertex_volume(N, c, X, triples, is_vertex):
+    """Volumes (k,) of simple polytopes {x : N[o] x <= c[o]} summed at their vertices.
+
+    X[o][is_vertex[o]] are the vertices, each on exactly the three planes
+    triples[o] names and once only. sum_f c_f area_f / 3 sums over the edges:
+    the edge on planes f, g adds w (t_+ - t_-) / 6 with t = C.x / |C|^2,
+    C = n_f x n_g, and w = |n_f - n_g|^2 (c_f^2 + c_g^2) / 2 - (c_f - c_g)^2
+    (2 c_f c_g - cos(angle) (c_f^2 + c_g^2), without the cancellation). A
+    vertex x of the triple (n_0, n_1, n_2) is the + end of the edge along
+    each cofactor C_j = n_{j+1} x n_{j+2} exactly when det = n_0.C_0 > 0, so
+    the volume is sum_x sign(det) sum_j w_j C_j.x / |C_j|^2 / 6. The terms
+    are summed in X's order, one row at a time, so that a polytope's volume
+    does not depend on its stack partners or on trailing non-vertices.
+    """
+    b = np.arange(len(N))[:, None]
+    n = [N[b, triples[..., j]] for j in range(3)]
+    h = [c[b, triples[..., j]] for j in range(3)]
+    C = [_cross(n[(j + 1) % 3], n[(j + 2) % 3]) for j in range(3)]
+    term = np.zeros(X.shape[:-1])
+    for j in range(3):
+        f, g = (j + 1) % 3, (j + 2) % 3
+        d = n[f] - n[g]
+        w = 0.5 * np.einsum("...d,...d->...", d, d) * (h[f] * h[f] + h[g] * h[g]) - (h[f] - h[g]) ** 2
+        CC = np.where(is_vertex, np.einsum("...d,...d->...", C[j], C[j]), 1.0)
+        term += w * np.einsum("...d,...d->...", C[j], X) / CC
+    det = np.einsum("...d,...d->...", n[0], C[0])
+    term = np.where(is_vertex, np.sign(det) * term, 0.0)
+    return np.cumsum(term, axis=-1)[..., -1] / 6.0
 
 
 @dataclass(frozen=True)

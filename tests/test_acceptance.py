@@ -24,7 +24,7 @@ import pytest
 from latbabai.babai import nearest_plane
 from latbabai.cli import main as cli_main
 from latbabai.core import as_basis, qr_upper, volume
-from latbabai.error2d import ReducedBasis2D, pe_closed_form, pe_geometric_2d, voronoi_polygon_2d
+from latbabai.error2d import ReducedBasis2D, pe_closed_form, pe_geometric_2d
 from latbabai.error3d import (
     mc_pe_oracle,
     pe_3d,
@@ -44,6 +44,7 @@ from latbabai.protocol import (
     uniform_source,
 )
 from latbabai.reduction import to_obtuse_superbase
+from test_error2d import voronoi_polygon_2d
 
 EXAMPLE_5 = np.array([[1.0, 0.4], [0.0, 2.0]])
 EXAMPLE_7 = np.array([[1.0, 0.311], [0.0, 1.01]])

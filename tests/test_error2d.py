@@ -5,6 +5,7 @@ from latbabai.error2d import (
     DENSITY_2D_MAX,
     LEVEL_CURVE_DEFAULT_KS,
     ReducedBasis2D,
+    _as_rb,
     level_curve_data,
     optimal_a,
     packing_density_2d,
@@ -12,13 +13,33 @@ from latbabai.error2d import (
     pe_density_form,
     pe_geometric_2d,
     pe_polar,
-    voronoi_polygon_2d,
     worst_theta,
 )
 from latbabai.core import _relevant_vectors, qr_upper
 from latbabai.error3d import mc_pe_oracle
+from latbabai.polytope import polygon_from_vertices
 
 HEX = ReducedBasis2D(-0.5, np.sqrt(3.0) / 2.0)
+
+
+def voronoi_polygon_2d(rb):
+    """Voronoi cell of the lattice of rb: a hexagon, degenerating to a rectangle at a = 0.
+
+    With c = -|a| the six vertices are +-(1/2, h), +-(-1/2, h), +-((2c+1)/2, g)
+    where h = (c^2 + b^2 + c)/(2b) and g = (b^2 - c - c^2)/(2b); for a > 0 the
+    polygon is mirrored back through the y-axis.
+    """
+    rb = _as_rb(rb)
+    c, b = rb.canonical_a, rb.b
+    h = (c * c + b * b + c) / (2.0 * b)
+    g = (b * b - c - c * c) / (2.0 * b)
+    verts = np.array([
+        [0.5, h], [-0.5, h], [(2.0 * c + 1.0) / 2.0, g],
+        [-0.5, -h], [0.5, -h], [-(2.0 * c + 1.0) / 2.0, -g],
+    ])
+    if rb.a > 0:
+        verts[:, 0] *= -1.0
+    return polygon_from_vertices(verts)
 
 
 def _random_reduced(rng):

@@ -510,8 +510,12 @@ def test_scan_random_respects_density_floor():
     assert all(r.density >= 0.55 for r in recs)
     loose = scan_random(80, density_floor=0.0, seed=11)
     assert len(loose) == 80
+    assert scan_random(80, density_floor=-np.inf, seed=11) == loose
     with pytest.raises(ValueError):
         scan_random(0)
+    for floor in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            scan_random(3, density_floor=floor)
 
 
 def test_pe_kernel_stack_equals_one_lattice_calls():

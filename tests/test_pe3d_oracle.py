@@ -18,7 +18,8 @@ facet centroid, and the cone over the facet from the origin is summed as an
 exact fan.
 
 The gate holds `pe_3d`, a stack of one lattice, and the same kernel run on
-all the bases at once, to ACCURACY.
+all the bases at once, to ACCURACY, and checks that the sampled bases of
+GENERIC_SEEDS take the kernel's generic route.
 
 `python tests/test_pe3d_oracle.py [SEED ...]` prints the worst distance of
 `pe_3d` from the oracle over the exemplars, the near-degenerate bases and
@@ -34,12 +35,14 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from latbabai.error3d import ORDERINGS, _pe_stack, pe_3d, random_reduced_superbase
+from latbabai.error3d import ORDERINGS, _frames, _pe_generic, _pe_stack, pe_3d, random_reduced_superbase
 from latbabai.lattices import KNOWN_LATTICES
 
 SCREEN = 1e-6
 ACCURACY = 1e-15
 RANDOM_SEEDS = tuple(range(1000, 1020))
+# more sampled bases, each held to take the kernel's generic route
+GENERIC_SEEDS = tuple(range(2000, 2010))
 # conorms (c01, c02, c03, c23, c13, c12) with near-zero entries: a box plane
 # then lies within about that conorm of a cell plane
 NEAR_DEGENERATE = (
@@ -215,6 +218,13 @@ def test_pe_3d_matches_oracle_on_exemplars(name):
 @pytest.mark.parametrize("seed", RANDOM_SEEDS)
 def test_pe_3d_matches_oracle_on_random_bases(seed):
     V, _ = random_reduced_superbase(rng_seed=seed)
+    assert worst_error(V) <= ACCURACY
+
+
+@pytest.mark.parametrize("seed", GENERIC_SEEDS)
+def test_generic_route_matches_oracle(seed):
+    V, _ = random_reduced_superbase(rng_seed=seed)
+    assert _pe_generic(*_frames([V])[:2])[1].all()
     assert worst_error(V) <= ACCURACY
 
 

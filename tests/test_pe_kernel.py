@@ -1,6 +1,8 @@
-"""The pe_3d kernel's box-stage cut and its output bits, pinned.
+"""The pe_3d kernel's routes, its box-stage cut and its output bits, pinned.
 
-Box row 0 of every column ordering, (A e_{p0}).u <= A_{p0p0} / 2, is the
+Generic cells go through the template of `_cell_tables` and the others
+through the search-based `_pe_orderings`; the route tests below pin which
+lattices take which. Box row 0 of every column ordering, (A e_{p0}).u <= A_{p0p0} / 2, is the
 cell plane pair of +-v_{p0}. The kernel keeps planes 14 and 17 in its plane
 lists so that `distinct_planes` masks them, and solves no triple through
 them. The tests below check that premise on the kernel's own masks.
@@ -22,12 +24,22 @@ import numpy as np
 import pytest
 
 from latbabai import error3d
-from latbabai.error3d import _pe_stack, _triple_tables, random_reduced_superbase
+from latbabai.error3d import (
+    _cell_planes,
+    _cell_tables,
+    _cell_template,
+    _frames,
+    _pe_generic,
+    _pe_orderings,
+    _pe_stack,
+    _triple_tables,
+    random_reduced_superbase,
+)
 from latbabai.lattices import KNOWN_LATTICES
 from test_pe3d_oracle import NEAR_DEGENERATE, basis_from_conorms
 
 BOX_ROW_0 = (14, 17)
-PE_DIGEST = "3168af0ef21c555f1a91d1d9ec7e4cf5565dde980b0b0467c149eaea0d0efbbe"
+PE_DIGEST = "eecdadc06e525ce7de886b2eb266a54c305260852c01fd6b687350dac376fcc3"
 
 
 def sampled_stacks(count=200, stack=5):
@@ -66,6 +78,62 @@ def test_triple_tables_skip_box_row_0():
     assert (fixed[:, 1] % 3 != fixed[:, 2] % 3).all()
 
 
+def test_cell_tables():
+    chains, edges, ends = _cell_tables()
+    assert chains.shape == (12, 3) and edges.shape == (36, 2) and ends.shape == (36, 2, 2)
+    # the chain triples keep the cell table's order
+    rows = [_triple_tables()[0].tolist().index(t) for t in chains.tolist()]
+    assert rows == sorted(rows)
+    assert [tuple(e) for e in edges.tolist()] == sorted(set(map(tuple, edges.tolist())))
+    # V - E + F = 2, and each of the 24 vertices +-x ends three edges
+    assert 2 * len(chains) - len(edges) + 14 == 2
+    degree = np.zeros((12, 2), dtype=int)
+    np.add.at(degree, (ends[..., 0], (ends[..., 1] < 0).astype(int)), 1)
+    assert (degree == 3).all()
+    # on a sampled cell, each endpoint lies on both planes of its edge
+    A, signs, _ = _frames([random_reduced_superbase(0)[0]])
+    (N,), (c,) = _cell_planes(A, signs)
+    (X,), (holds,) = _cell_template(N[None], c[None])
+    assert holds
+    points = ends[..., 1, None] * X[ends[..., 0]]
+    on = c[edges][:, None, :] - np.einsum("epd,efd->epf", points, N[edges])
+    assert np.abs(on).max() < 1e-14
+
+
+def generic_route(bases):
+    return _pe_generic(*_frames(bases)[:2])[1]
+
+
+def test_sampled_bases_take_the_generic_route():
+    assert all(generic_route(bases).all() for bases in sampled_stacks())
+
+
+def test_routes_of_the_exemplars_and_near_degenerate_bases():
+    # the five exemplars and the zero-conorm basis leave the generic route;
+    # conorms of 1e-6 and 1e-9 stay on it
+    assert generic_route(exemplar_stack()).tolist() == [False] * 5 + [True, True, False]
+    # bcc's cell is a generic truncated octahedron, but its box planes run
+    # through cell vertices: the guards, not the template, send it away
+    holds = _cell_template(*_cell_planes(*_frames(exemplar_stack())[:2]))[1]
+    assert holds.tolist() == [False] * 3 + [True, False, True, True, False]
+
+
+def _bits(x):
+    return [float(v).hex() for v in np.ravel(x)]
+
+
+@pytest.mark.parametrize("bases", [
+    pytest.param([np.asarray(V, dtype=float) for V in KNOWN_LATTICES.values()], id="exemplars"),
+    pytest.param([basis_from_conorms(NEAR_DEGENERATE[2])], id="zero conorms"),
+    # L = 1e2, 1e3, 1e4, and 1e5 by stretching the third column of the first
+    pytest.param([V for (V,) in long_prisms()] + [long_prisms()[0][0] * [1, 1, 1e3]], id="long prisms"),
+])
+def test_general_route_keeps_the_search_kernel_bits(bases):
+    A, signs, _ = _frames(bases)
+    assert not _pe_generic(A, signs)[1].any()
+    assert _bits(_pe_stack(bases)[0]) == _bits(_pe_orderings(A, signs))
+
+
 @pytest.mark.parametrize("make_stacks", [
     pytest.param(sampled_stacks, id="sampler seeds 0-199"),
     pytest.param(lambda: [exemplar_stack()], id="exemplars and near-degenerate"),
@@ -88,7 +156,8 @@ def test_box_row_0_is_masked_and_never_solved(make_stacks, monkeypatch):
     monkeypatch.setattr(error3d, "solve_triples", solve_triples)
     for bases in stacks:
         _pe_stack(bases)
-    assert len(masks) == len(stacks)
+    # one call per route that a stack uses
+    assert len(stacks) <= len(masks) <= 2 * len(stacks)
     for keep in masks:
         assert keep.shape[1:] == (20,)
         assert not keep[:, BOX_ROW_0].any()

@@ -15,7 +15,9 @@ from latbabai.polytope import (
     polygon_from_halfplanes,
     polygon_from_vertices,
     polytope_from_halfspaces,
+    plane_slack,
     solve_triples,
+    vertex_volume,
 )
 
 
@@ -188,6 +190,27 @@ def test_volume_matches_monte_carlo_on_random_polytope():
     est = box_vol * inside.mean()
     sigma = box_vol * np.sqrt(inside.mean() * (1 - inside.mean()) / n_mc)
     assert abs(poly.volume - est) < 4 * sigma
+
+
+def _vertex_sum(N, c):
+    # vertex_volume over every feasible vertex of every plane triple
+    triples = np.array(list(combinations(range(len(N)), 3)))[None]
+    X, ok = solve_triples(N[None], c[None], triples)
+    ok &= (plane_slack(N[None], c[None], X) >= -1e-12).all(axis=-1)
+    return float(vertex_volume(N[None], c[None], X, triples, ok)[0])
+
+
+def test_vertex_volume_of_simple_polytopes():
+    # a box away from the origin, whose cones from the origin cancel in part
+    N, c = box_halfspaces([0.5, 1.0, 1.5])
+    assert _vertex_sum(N, c + N @ np.array([2.0, -3.0, 4.0])) == pytest.approx(6.0, rel=1e-14)
+    # random polytopes, simple with probability 1
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        N, c = normalize_halfspaces(rng.normal(size=(12, 3)), rng.uniform(0.5, 2.0, 12))
+        poly = polytope_from_halfspaces(N, c)
+        assert all(len(f) >= 3 for f in poly.facets) and 3 * poly.n_vertices == 2 * poly.n_edges
+        assert _vertex_sum(N, c) == pytest.approx(poly.volume, rel=1e-13)
 
 
 @pytest.mark.parametrize("scale", [1e-8, 1e-3, 1.0, 1e8])
