@@ -11,8 +11,8 @@ reports that superbase's Selling parameters and cell type, as scan records do.
 Its kernel has two routes: a cell of the generic type, with simple cuts,
 takes the fixed vertices and edges of _cell_tables, solves only the box
 triples that can be vertices and sums the volume at the vertices
-(_pe_generic); any other cell is searched for its vertices and its facets
-are assembled (_pe_orderings).
+(_pe_generic); any other cell solves every triple of _TRIPLES, masks those
+that cannot be vertices and assembles its facets (_pe_orderings).
 """
 
 from dataclasses import dataclass
@@ -136,31 +136,26 @@ _SUM_COEFFS = np.array(
 # and box plane 14 + (m + 3) mod 6 is box plane 14 + m negated
 _MIRROR = np.concatenate([np.arange(7, 14), np.arange(7), np.arange(17, 20), np.arange(14, 17)])
 _MIRROR.flags.writeable = False
-# the box edges: pairs of non-parallel box planes, leaving out box row 0
+# the box edges: pairs of non-parallel box planes (indices differing mod 3), leaving out box row 0
 _BOX_EDGES = ((15, 16), (15, 19), (16, 18), (18, 19))
 
 
-@cache
-def _triple_tables():
-    """Plane index triples of the 14 cell planes and the 6 box planes (14..19),
-    one of each mirror pair.
+def _mirror_half(triples):
+    """The triples that sort before their mirror image (no triple is its own)."""
+    return [t for t in triples if t < tuple(sorted(_MIRROR[list(t)].tolist()))]
 
-    Box plane 14 + m bounds +(M P^T u)_m and 17 + m bounds -(M P^T u)_m, so
-    two box planes are parallel exactly when their indices agree mod 3. No
-    triple is its own mirror image; of a triple and its image, the one that
-    sorts first is kept. Returns the cell triples (182 of 364), and the
-    box-stage triples that do not depend on the cell (28 of 56): each cell
-    plane with each edge (non-parallel pair) of the box planes 15, 16, 18, 19.
-    Box row 0 (planes 14, 17) repeats a cell plane pair and is in no triple.
-    """
-    cell = np.array(list(combinations(range(14), 3)))
-    edges = np.array(_BOX_EDGES)
-    fixed = np.column_stack([np.repeat(np.arange(14), len(edges)), np.tile(edges, (14, 1))])
-    key = np.array([400, 20, 1])  # plane indices are below 20: keys sort triples lexicographically
-    tables = tuple(t[t @ key < np.sort(_MIRROR[t], axis=1) @ key] for t in (cell, fixed))
-    for table in tables:
-        table.flags.writeable = False  # shared by every call through the cache
-    return tables
+
+# the plane triples the kernel solves, one of each mirror pair and none through
+# box row 0 (planes 14, 17: a cell plane pair): the cell triples (182 of 364);
+# each cell plane pair, row-major, with box plane 15 and then 16; each cell
+# plane with each box edge (28 of 56)
+_TRIPLES = np.array(
+    _mirror_half(combinations(range(14), 3))
+    + [(f, g, b) for f, g in combinations(range(14), 2) for b in (15, 16)]
+    + _mirror_half((f, a, b) for f in range(14) for a, b in _BOX_EDGES)
+)
+_TRIPLES.flags.writeable = False
+_CELL_ROWS, _PAIR_ROWS, _FIXED_ROWS = slice(0, 182), slice(182, 364), slice(364, 392)
 
 
 @cache
@@ -173,17 +168,16 @@ def _cell_tables():
     complement in {0, 1, 2, 3}. Each of the 24 orderings of the four labels
     gives a vertex, on the planes of the chain S1 < S2 < S3 of its first
     one, two and three labels, and the nested pairs S < T are the 36 edges.
-    Returns the 12 chain triples of _triple_tables()[0] (one of each mirror
-    pair, in that table's order), the edges (36, 2) as plane pairs f < g in
-    row-major order, and their endpoints (36, 2, 2) as (chain triple i, +1)
-    for its vertex x or (i, -1) for the mirror vertex -x.
+    Returns the 12 chain triples of the cell rows of _TRIPLES (one of each
+    mirror pair, in that table's order), the edges (36, 2) as plane pairs
+    f < g in row-major order, and their endpoints (36, 2, 2) as (chain
+    triple i, +1) for its vertex x or (i, -1) for the mirror vertex -x.
     """
     labels = [frozenset(int(j) + 1 for j in np.flatnonzero(row)) for row in _SUM_COEFFS]
     labels += [frozenset(range(4)) - s for s in labels]
     plane = {s: i for i, s in enumerate(labels)}
     chains = sorted(tuple(sorted(plane[frozenset(p[:m])] for m in (1, 2, 3))) for p in permutations(range(4)))
-    half = _triple_tables()[0]
-    half = half[[tuple(t) in chains for t in half.tolist()]]
+    half = np.array([t for t in _TRIPLES[_CELL_ROWS].tolist() if tuple(t) in chains])
     vertex = {tuple(t): (i, 1) for i, t in enumerate(half.tolist())}
     vertex |= {tuple(sorted(_MIRROR[t].tolist())): (i, -1) for i, t in enumerate(half.tolist())}
     nested = [(f, g) for f, g in combinations(range(14), 2) if labels[f] < labels[g] or labels[g] < labels[f]]
@@ -227,54 +221,33 @@ def _pe_orderings(A, signs):
 
     Each ordering's box (_polytope_planes) cuts the cell (_cell_planes).
     Cell and box both have volume 1 in u, so P_e = 1 - vol_u(cell & box).
-    The L·k polytopes share one engine pass, and each lattice's values are
-    those of a stack of one.
-
-    Cell and box are centrally symmetric, and their planes come in exact
-    +- pairs (_MIRROR). Negating a triple's three normals, in order, keeps
-    its cofactors and offsets and negates det, so it solves to exactly -x;
-    only one triple of each pair is solved, and assemble_polytopes mirrors
-    the vertices and doubles the volume of one facet of each pair.
+    Each of the L·k polytopes solves all of _TRIPLES in one call: one triple
+    of each +- pair (_MIRROR), since a triple with its normals negated solves
+    to exactly -x and assemble_polytopes mirrors the vertices.
+    A solved cell triple is a candidate vertex when it is feasible on the 14
+    cell planes, a cell plane pair with a box plane when the pair meets at a cell
+    vertex (else the two facets share no point); a pair or any other triple
+    only through planes that distinct_planes keeps. Each lattice's values
+    are those of a stack of one.
     """
-    cell_triples, fixed_triples = _triple_tables()
-    n = len(A)
-    Nc, cc = _cell_planes(A, signs)
-    # cell vertices are shared by all orderings. A vertex on two cell planes
-    # and one box plane lies on a cell edge or is a cell vertex, so only pairs
-    # of cell planes through a common cell vertex need solving with box planes
-    Xc, ok = solve_triples(Nc, cc, np.broadcast_to(cell_triples, (n,) + cell_triples.shape))
-    slack = plane_slack(Nc, cc, Xc)
-    ok &= (slack >= -VERTEX_TOL).all(axis=-1)
-    ok, Xc, slack = compact_rows(ok, Xc, slack)
-    touch = (ok[..., None] & (np.abs(slack) <= VERTEX_TOL)).astype(float)
+    n, k = len(A), len(ORDERINGS)
+    N, c = _polytope_planes(A, *_cell_planes(A, signs))
+    # a box plane within GEOM_TOL of a cell plane is that plane: always box row
+    # 0, (A e_p0).u <= A_p0p0 / 2, kept only to be masked here, and at a conorm
+    # below GEOM_TOL, where dropping it moves P_e by about the conorm
+    keep = distinct_planes(N, c)
+    X, ok = solve_triples(N, c, _TRIPLES)
+    # the cell rows solve alike in every ordering: test those of ordering 0
+    slack = plane_slack(N[::k, :14], c[::k, :14], X[::k, _CELL_ROWS])
+    cell = ok[::k, _CELL_ROWS] & (slack >= -VERTEX_TOL).all(axis=-1)
+    touch = (cell[..., None] & (np.abs(slack) <= VERTEX_TOL)).astype(float)
     adjacent = touch.transpose(0, 2, 1) @ touch > 0
     # the mirror vertices -x touch the mirror planes
     adjacent |= adjacent[:, _MIRROR[:14, None], _MIRROR[:14]]
-    adjacent = np.triu(adjacent, 1).reshape(n, -1)
-    # each lattice's pairs in row-major order, padded with masked pairs, and
-    # each pair with the box planes 15, 16 (the mirror triples bring 18, 19)
-    live, flat = compact_rows(adjacent, np.broadcast_to(np.arange(14 * 14), adjacent.shape))
-    pairs = np.repeat(np.stack(np.divmod(flat, 14), axis=-1), 2, axis=1)
-    box = np.broadcast_to(np.tile(np.arange(15, 17), flat.shape[1])[:, None], pairs.shape[:2] + (1,))
-    triples = np.concatenate([
-        np.concatenate([pairs, box], axis=-1),
-        np.broadcast_to(fixed_triples, (n,) + fixed_triples.shape),
-    ], axis=1)
-    solvable = np.hstack([np.repeat(live, 2, axis=1), np.ones((n, len(fixed_triples)), dtype=bool)])
-
-    k = len(ORDERINGS)
-    N, c = _polytope_planes(A, Nc, cc)
-    # a box plane within GEOM_TOL of a cell plane is that plane: always for
-    # box row 0, (A e_p0).u <= A_p0p0 / 2, kept only to be masked here and
-    # solved in no triple, and at a conorm below GEOM_TOL, where dropping it
-    # moves P_e by about the conorm
-    keep = distinct_planes(N, c)
-    triples = np.repeat(triples, k, axis=0)
-    Xm, okm = solve_triples(N, c, triples)
-    okm &= np.repeat(solvable, k, axis=0)
-    okm &= keep[np.arange(n * k)[:, None, None], triples].all(axis=-1)
-    X = np.concatenate([np.repeat(Xc, k, axis=0), Xm], axis=1)
-    ok = np.hstack([np.repeat(ok, k, axis=0), okm])
+    pairs = adjacent.reshape(n, -1)[:, _TRIPLES[_PAIR_ROWS, :2] @ [14, 1]]
+    ok[:, : _PAIR_ROWS.stop] &= np.repeat(np.hstack([cell, pairs]), k, axis=0)
+    ok[:, _PAIR_ROWS.start :] &= keep[:, _TRIPLES[_PAIR_ROWS.start :]].all(axis=-1)
+    ok, X = compact_rows(ok, X)
     vol = assemble_polytopes(N, c, keep, X, ok, mirror=_MIRROR).volume.reshape(n, k)
     return np.clip(1.0 - vol, 0.0, 1.0)
 
@@ -287,20 +260,19 @@ _SELECT_TOL = 1e-9
 def _box_stage_tables():
     """The box-stage triples of _pe_generic and where its selection reads.
 
-    Returns the 100 triples: each edge of _cell_tables with box plane 15,
-    then 16, in edge order (the mirror triples bring 18, 19), then the 28
-    of _triple_tables()[1]; the index (36, 2, 2) of each edge endpoint's
-    slack at box planes 15 and 16 into a flattened (12, 20) slack table of
-    the chain vertices, where -x has at plane q the slack of x at
-    _MIRROR[q]; and the index (28,) of each of the 28 triples, (cell plane
-    f, box edge a-b), into a flattened (4, 14) table of the _BOX_EDGES
+    Returns the 100 triples: the _PAIR_ROWS of _TRIPLES on an edge of
+    _cell_tables (box plane 15, then 16, in edge order; the mirror triples
+    bring 18, 19), then its 28 _FIXED_ROWS; the index (36, 2, 2) of each
+    edge endpoint's slack at box planes 15 and 16 into a flattened (12, 20)
+    slack table of the chain vertices, where -x has at plane q the slack of
+    x at _MIRROR[q]; and the index (28,) of each _FIXED_ROWS triple (cell
+    plane f, box edge a-b) into a flattened (4, 14) table of the _BOX_EDGES
     lines against the cell planes.
     """
     _, edges, ends = _cell_tables()
-    fixed = _triple_tables()[1]
+    pairs, fixed = _TRIPLES[_PAIR_ROWS], _TRIPLES[_FIXED_ROWS]
     box = np.array([15, 16])
-    edge_box = np.column_stack([np.repeat(edges, 2, axis=0), np.tile(box, len(edges))])
-    triples = np.concatenate([edge_box, fixed])
+    triples = np.concatenate([pairs[np.isin(pairs[:, :2] @ [14, 1], edges @ [14, 1])], fixed])
     at = ends[:, None, :, 0] * 20 + np.where(ends[:, None, :, 1] > 0, box[:, None], _MIRROR[box][:, None])
     clip = np.array([_BOX_EDGES.index((a, b)) * 14 + f for f, a, b in fixed.tolist()])
     for table in (triples, at, clip):
@@ -353,7 +325,7 @@ def _pe_generic(A, signs):
     box plane, or a box edge line entering or leaving the cell, so only
     those box-stage triples are solved, in one call: an edge with a box
     plane when its endpoints' slacks there straddle 0 within _SELECT_TOL,
-    and a _triple_tables()[1] triple when its cell plane is where its box
+    and a _FIXED_ROWS triple when its cell plane is where its box
     edge line enters or leaves the cell (_enter_leave). vertex_volume holds
     only for simple polytopes, so a lattice also leaves when some
     ordering's polytope has a feasible vertex within VERTEX_TOL of a kept
@@ -400,12 +372,21 @@ def _pe_generic(A, signs):
 def _frames(bases):
     """Gram matrices A (L, 3, 3) of L 3x3 generators, each scaled so that its
     first column has norm 1, the obtuse superbase signs (L, 3) that one sign
-    search finds for the stack, and the Selling matrices S (L, 4, 4) of those
-    superbases in the generators' own units."""
-    V = np.array([B / np.linalg.norm(B[:, 0]) for B in bases])
+    search finds for the stack, and each superbase's Selling parameters
+    (PAIR_ORDER_3D, in the generators' units: 0 or +-inf outside the double
+    range) and cell type, read after a power-of-two scale to max |V_ij| in
+    [1/2, 1) that also keeps every norm and Gram entry in range."""
+    e = np.frexp(np.abs(bases).max(axis=(1, 2)))[1]
+    W = np.ldexp(bases, -e[:, None, None])
+    V = np.array([B / np.linalg.norm(B[:, 0]) for B in W])
     signs = _obtuse_superbases(V)[2]
     G = V.swapaxes(-1, -2) @ V
-    return 0.5 * (G + G.swapaxes(-1, -2)), signs, _superbases(np.array(bases), signs)[1]
+    i, j = np.transpose(PAIR_ORDER_3D)
+    S = _superbases(W, signs)[1][:, i, j]
+    with np.errstate(over="ignore"):
+        selling = np.ldexp(S, 2 * e[:, None])
+    cells = [(tuple(float(x) for x in p), classify_cell(np.maximum(-q, 0.0))) for p, q in zip(selling, S)]
+    return 0.5 * (G + G.swapaxes(-1, -2)), signs, cells
 
 
 def _pe_stack(bases):
@@ -419,9 +400,7 @@ def _pe_stack(bases):
     rest, the zero-conorm cells among them, through _pe_orderings in one
     stack. Either way a lattice's values are those of a stack of one.
     """
-    A, signs, S = _frames(bases)
-    i, j = np.transpose(PAIR_ORDER_3D)
-    cells = [(tuple(float(x) for x in p), classify_cell(np.maximum(-p, 0.0))) for p in S[:, i, j]]
+    A, signs, cells = _frames(bases)
     pes, done = _pe_generic(A, signs)
     if not done.all():
         pes[~done] = _pe_orderings(A[~done], signs[~done])
@@ -532,10 +511,10 @@ def _reduced_basis_density(V):
 
 
 # sampled lattices per pe_3d kernel pass in scan_random. A stack shares the
-# kernel's per-call cost and one sign search: stacks of 1 to 6 took about
-# 1.4, 0.9, 0.8, 0.75, 0.7 and 0.75 ms per lattice (600 bases, 2-core
-# machine), while the kernel's traced peak grows by 0.18 MB per lattice
-# (0.93 MB at 5), against a peak-memory budget of about 2 MB for the scan
+# kernel's per-call cost and one sign search: on the generic route, stacks
+# of 1 to 6 took about 1.3, 0.74, 0.53, 0.45, 0.40 and 0.36 ms per lattice
+# (600 bases, 2-core machine), and the traced peak grows by about 0.1 MB per
+# lattice (0.51 MB at 5), against a peak-memory budget of about 2 MB for the scan
 SCAN_STACK = 5
 
 
@@ -640,7 +619,8 @@ def mc_pe_oracle(basis, samples, seed=None):
         raise UnsupportedDimensionError("mc_pe_oracle covers n <= 3")
     if samples < 1:
         raise ValueError("samples must be positive")
-    _, R = qr_upper(V)
+    # scaled by a power of two to max |V_ij| in [1/2, 1): no bit moves, and R's squares stay in range
+    _, R = qr_upper(np.ldexp(V, -np.frexp(np.abs(V).max())[1]))
     h = 0.5 * np.diag(R)
     P, half = _mc_competitors(R, h)
     if not len(P):

@@ -150,10 +150,15 @@ def test_pe3d_and_reduce_at_any_scale(capsys, lattice_file, name):
         assert (doc["minkowski"], doc["violated"]) == (unit_reduce["minkowski"], unit_reduce["violated"]), scale
 
 
-def test_pe3d_density_on_a_tiny_basis(capsys, lattice_file):
-    # |det V| = 5e-475 underflows; the density is taken on a power-of-two rescaling
-    path = lattice_file((1e-158 * np.asarray(KNOWN_LATTICES["fcc"])).T.tolist())
-    doc = run_json(capsys, "pe3d", "--lattice", path)
+@pytest.mark.parametrize("scale", [1e-158, 2.0**-1000], ids=["1e-158", "2^-1000"])
+def test_pe3d_density_on_a_tiny_basis(capsys, lattice_file, scale):
+    # |det V| underflows; the density, the P_e and the cell type are taken on
+    # a power-of-two rescaling
+    path = lattice_file((scale * np.asarray(KNOWN_LATTICES["fcc"])).T.tolist())
+    code, out, err = run_cli(capsys, "pe3d", "--lattice", path)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["cell_type"] == "rhombic_dodecahedron"
     assert doc["density"] == pytest.approx(np.pi / np.sqrt(18.0), rel=1e-15)
     assert doc["pe"] == pytest.approx(65.0 / 432.0, abs=1e-15)
 

@@ -676,6 +676,21 @@ def test_mc_pe_oracle_does_not_depend_on_the_scale(name):
         assert mc_pe_oracle(2.0**k * MC_BASES[name], 20_000, seed=3) == expected
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(KNOWN_LATTICES))
+def test_pe_3d_and_mc_pe_oracle_at_any_double_scale(name):
+    # both scale by a power of two to max |V_ij| in [1/2, 1) first, so no
+    # norm, Gram entry or squared search term leaves the double range
+    V = np.asarray(KNOWN_LATTICES[name], dtype=float)
+    r = pe_3d(V)
+    for k in (-1000, -520, 600, 1000):
+        s = pe_3d(np.ldexp(V, k))
+        assert (s.per_ordering, s.best_ordering, s.cell_type) == (r.per_ordering, r.best_ordering, r.cell_type), k
+    expected = mc_pe_oracle(V, 20_000, seed=3)
+    for k in (-1060, -600, 600):
+        assert mc_pe_oracle(np.ldexp(V, k), 20_000, seed=3) == expected, k
+
+
 def _box(R, radius):
     # every integer u with |u_i| <= radius ||row_i(R^-1)|| (Fincke & Pohst),
     # which holds every lattice point R u within radius of 0, in lexicographic

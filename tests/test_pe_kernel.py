@@ -16,15 +16,28 @@ recorded with numpy 2.4 on OpenBLAS (x86-64); another BLAS may round the
 Gram products differently. `PYTHONPATH=src python tests/test_pe_kernel.py`
 prints the dumped lines, whose sha256sum is the digest; the dumps of two
 checkouts compare with `cmp`.
+
+The sampled stacks take the template route, so the digest reaches the search
+route on the 12 exemplar lattices only. `SEARCH_DIGEST` pins `_pe_orderings`
+itself the same way, on the sampled stacks, the exemplar stack, the moved
+exemplars and the long prisms; `python tests/test_pe_kernel.py search` prints
+its lines.
 """
 
 import hashlib
+import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from latbabai import error3d
 from latbabai.error3d import (
+    _CELL_ROWS,
+    _FIXED_ROWS,
+    _MIRROR,
+    _PAIR_ROWS,
+    _TRIPLES,
     _cell_planes,
     _cell_tables,
     _cell_template,
@@ -32,7 +45,6 @@ from latbabai.error3d import (
     _pe_generic,
     _pe_orderings,
     _pe_stack,
-    _triple_tables,
     random_reduced_superbase,
 )
 from latbabai.lattices import KNOWN_LATTICES
@@ -40,6 +52,7 @@ from test_pe3d_oracle import NEAR_DEGENERATE, basis_from_conorms
 
 BOX_ROW_0 = (14, 17)
 PE_DIGEST = "eecdadc06e525ce7de886b2eb266a54c305260852c01fd6b687350dac376fcc3"
+SEARCH_DIGEST = "b8f10dff2edb48faf0af7f3d821b86756f33e2b96432761c0e4fd2b197b6632d"
 
 
 def sampled_stacks(count=200, stack=5):
@@ -68,11 +81,27 @@ def dump_lines():
         yield " ".join(float(pe).hex() for pe in _pe_stack(bases)[0].ravel())
 
 
+def search_lines():
+    for bases in sampled_stacks() + [exemplar_stack(), moved_exemplars()] + long_prisms():
+        yield " ".join(float(pe).hex() for pe in _pe_orderings(*_frames(bases)[:2]).ravel())
+
+
+def digest(lines):
+    return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+
+
 def test_triple_tables_skip_box_row_0():
-    cell, fixed = _triple_tables()
+    assert _TRIPLES.shape == (392, 3) and not _TRIPLES.flags.writeable
+    cell, pairs, fixed = _TRIPLES[_CELL_ROWS], _TRIPLES[_PAIR_ROWS], _TRIPLES[_FIXED_ROWS]
     assert cell.shape == (182, 3) and fixed.shape == (28, 3)
     assert (cell < 14).all()
-    assert not np.isin(fixed, BOX_ROW_0).any()
+    assert not np.isin(_TRIPLES, BOX_ROW_0).any()
+    # one triple of each mirror pair
+    rows = set(map(tuple, _TRIPLES.tolist()))
+    assert len(rows) == len(_TRIPLES)
+    assert not rows & {tuple(sorted(_MIRROR[t].tolist())) for t in _TRIPLES}
+    # each cell plane pair, in row-major order, with box plane 15 and then 16
+    assert pairs.tolist() == [[f, g, b] for f, g in combinations(range(14), 2) for b in (15, 16)]
     # one cell plane with a non-parallel pair of the box planes 15, 16, 18, 19
     assert (fixed[:, 0] < 14).all() and np.isin(fixed[:, 1:], (15, 16, 18, 19)).all()
     assert (fixed[:, 1] % 3 != fixed[:, 2] % 3).all()
@@ -82,7 +111,7 @@ def test_cell_tables():
     chains, edges, ends = _cell_tables()
     assert chains.shape == (12, 3) and edges.shape == (36, 2) and ends.shape == (36, 2, 2)
     # the chain triples keep the cell table's order
-    rows = [_triple_tables()[0].tolist().index(t) for t in chains.tolist()]
+    rows = [_TRIPLES[_CELL_ROWS].tolist().index(t) for t in chains.tolist()]
     assert rows == sorted(rows)
     assert [tuple(e) for e in edges.tolist()] == sorted(set(map(tuple, edges.tolist())))
     # V - E + F = 2, and each of the 24 vertices +-x ends three edges
@@ -165,10 +194,13 @@ def test_box_row_0_is_masked_and_never_solved(make_stacks, monkeypatch):
 
 
 def test_kernel_bits_are_pinned():
-    digest = hashlib.sha256("".join(line + "\n" for line in dump_lines()).encode()).hexdigest()
-    assert digest == PE_DIGEST
+    assert digest(dump_lines()) == PE_DIGEST
+
+
+def test_search_route_bits_are_pinned():
+    assert digest(search_lines()) == SEARCH_DIGEST
 
 
 if __name__ == "__main__":
-    for line in dump_lines():
+    for line in (search_lines if sys.argv[1:] == ["search"] else dump_lines)():
         print(line)
